@@ -589,6 +589,50 @@ func TestScheduleSupportDeterministic(t *testing.T) {
 	}
 }
 
+// TestScheduleSumsBitIdentical: Kappa, Mu, Risk, Loss and Delay must not
+// depend on the order the schedule map was filled or is iterated in. Two
+// schedules with the same 80 entries, inserted in opposite orders, are
+// evaluated many times; every result must match bit for bit.
+func TestScheduleSumsBitIdentical(t *testing.T) {
+	s := Set{
+		{Risk: 0.13, Loss: 0.011, Delay: 3 * time.Millisecond, Rate: 7},
+		{Risk: 0.37, Loss: 0.023, Delay: 11 * time.Millisecond, Rate: 19},
+		{Risk: 0.051, Loss: 0.0071, Delay: 5 * time.Millisecond, Rate: 61},
+		{Risk: 0.29, Loss: 0.031, Delay: 17 * time.Millisecond, Rate: 67},
+		{Risk: 0.083, Loss: 0.0013, Delay: 2 * time.Millisecond, Rate: 101},
+	}
+	all := EnumerateAssignments(len(s))
+	rng := rand.New(rand.NewSource(5))
+	probs := make([]float64, len(all))
+	var total float64
+	for i := range probs {
+		probs[i] = rng.Float64() * math.Pow(10, -3*rng.Float64())
+		total += probs[i]
+	}
+	forward, backward := Schedule{}, Schedule{}
+	for i, a := range all {
+		forward[a] = probs[i] / total
+	}
+	for i := len(all) - 1; i >= 0; i-- {
+		backward[all[i]] = probs[i] / total
+	}
+	sums := func(p Schedule) [5]uint64 {
+		return [5]uint64{
+			math.Float64bits(p.Kappa()), math.Float64bits(p.Mu()),
+			math.Float64bits(p.Risk(s)), math.Float64bits(p.Loss(s)),
+			math.Float64bits(p.Delay(s)),
+		}
+	}
+	want := sums(forward)
+	for i := 0; i < 50; i++ {
+		for _, p := range []Schedule{forward, backward} {
+			if got := sums(p); got != want {
+				t.Fatalf("run %d: sums %x, want %x (Kappa, Mu, Risk, Loss, Delay bits)", i, got, want)
+			}
+		}
+	}
+}
+
 func TestEnumerateAssignments(t *testing.T) {
 	// For n channels: Σ_{m=1..n} C(n,m)·m assignments.
 	wantCounts := map[int]int{1: 1, 2: 4, 3: 12, 4: 32, 5: 80}

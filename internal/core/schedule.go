@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"remicss/internal/stats"
 )
@@ -64,11 +65,15 @@ func (p Schedule) Validate(n int) error {
 // ErrInvalidSchedule marks malformed share schedules.
 var ErrInvalidSchedule = fmt.Errorf("core: invalid share schedule")
 
+// The weighted sums below add their terms in the canonical assignment order
+// (by k, then mask), so a schedule gives bit-identical results however its
+// map was built or iterated.
+
 // Kappa returns the average threshold κ = Σ p(k,M)·k.
 func (p Schedule) Kappa() float64 {
 	var sum float64
-	for a, prob := range p {
-		sum += prob * float64(a.K)
+	for _, a := range p.assignments() {
+		sum += p[a] * float64(a.K)
 	}
 	return sum
 }
@@ -76,8 +81,8 @@ func (p Schedule) Kappa() float64 {
 // Mu returns the average multiplicity μ = Σ p(k,M)·|M|.
 func (p Schedule) Mu() float64 {
 	var sum float64
-	for a, prob := range p {
-		sum += prob * float64(a.M())
+	for _, a := range p.assignments() {
+		sum += p[a] * float64(a.M())
 	}
 	return sum
 }
@@ -85,10 +90,8 @@ func (p Schedule) Mu() float64 {
 // Risk returns the schedule risk Z(p) = Σ p(k,M)·z(k,M) over the set.
 func (p Schedule) Risk(s Set) float64 {
 	var sum float64
-	for a, prob := range p {
-		if prob > 0 {
-			sum += prob * s.SubsetRisk(a.K, a.Mask)
-		}
+	for _, a := range p.Support() {
+		sum += p[a] * s.SubsetRisk(a.K, a.Mask)
 	}
 	return sum
 }
@@ -96,10 +99,8 @@ func (p Schedule) Risk(s Set) float64 {
 // Loss returns the schedule loss L(p) = Σ p(k,M)·l(k,M) over the set.
 func (p Schedule) Loss(s Set) float64 {
 	var sum float64
-	for a, prob := range p {
-		if prob > 0 {
-			sum += prob * s.SubsetLoss(a.K, a.Mask)
-		}
+	for _, a := range p.Support() {
+		sum += p[a] * s.SubsetLoss(a.K, a.Mask)
 	}
 	return sum
 }
@@ -110,10 +111,8 @@ func (p Schedule) Loss(s Set) float64 {
 // delays, matching the paper's definition of D(p).
 func (p Schedule) Delay(s Set) float64 {
 	var sum float64
-	for a, prob := range p {
-		if prob > 0 {
-			sum += prob * s.SubsetDelay(a.K, a.Mask)
-		}
+	for _, a := range p.Support() {
+		sum += p[a] * s.SubsetDelay(a.K, a.Mask)
 	}
 	return sum
 }
@@ -134,17 +133,18 @@ func (p Schedule) ChannelUsage(n int) []float64 {
 // Support returns the assignments with positive probability, sorted for
 // deterministic iteration (by k, then mask).
 func (p Schedule) Support() []Assignment {
+	return slices.DeleteFunc(p.assignments(), func(a Assignment) bool { return p[a] <= 0 })
+}
+
+// assignments returns every assignment in the schedule, sorted by k, then
+// mask.
+func (p Schedule) assignments() []Assignment {
 	out := make([]Assignment, 0, len(p))
-	for a, prob := range p {
-		if prob > 0 {
-			out = append(out, a)
-		}
+	for a := range p {
+		out = append(out, a)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].K != out[j].K {
-			return out[i].K < out[j].K
-		}
-		return out[i].Mask < out[j].Mask
+	slices.SortFunc(out, func(x, y Assignment) int {
+		return cmp.Or(cmp.Compare(x.K, y.K), cmp.Compare(x.Mask, y.Mask))
 	})
 	return out
 }

@@ -13,9 +13,9 @@
 //     and dispatches each incoming datagram to its session by peeking the
 //     header (wire.PeekSession) — no copy, no full parse;
 //   - the session table is sharded like the receiver's reassembly table
-//     (splitmix64-mixed ID, power-of-two shards) with a lock-free read
-//     path, so ingest goroutines never contend with each other or with
-//     registration;
+//     (splitmix64-mixed ID, power-of-two shards), each shard a
+//     shardix.Table with a lock-free read path, so ingest goroutines never
+//     contend with each other or with registration;
 //   - the client side shares one socket set across all its sessions (Pool),
 //     coalescing their datagrams into kernel batches
 //     (udptrans.Link.SendBatch).
@@ -38,10 +38,9 @@ import (
 	"remicss/internal/wire"
 )
 
-// DefaultShards is the default session-table shard count. Sized for
-// registration-heavy workloads: registering n sessions costs O(n²/shards)
-// map-entry copies under the copy-on-write scheme, so at 100k sessions a
-// 1024-way split keeps the total rebuild work in the low millions.
+// DefaultShards is the default session-table shard count. A registration
+// costs amortized O(1) at any shard count; the shards split the writers'
+// locks, so concurrent Register and Close calls rarely contend.
 const DefaultShards = 1024
 
 // DefaultTenantCap is the default bound on distinct tenant label values.
@@ -95,16 +94,15 @@ type Server struct {
 	sessionless func(datagram []byte)
 }
 
-// gwShard is one slice of the session table. Writers (Register and
-// Unregister) serialize on mu and replace the map copy-on-write; the
-// dispatch path loads the pointer atomically and reads the immutable map
-// with no lock, so ingest goroutines are never blocked by registration.
-// The trailing pad keeps neighboring shards' mutexes off one cache line.
+// gwShard is one slice of the session table. Register and unregister
+// serialize on mu and publish one table slot per change; Dispatch reads
+// with no lock, so ingest is never blocked by registration. The trailing
+// pad keeps neighboring shards' mutexes off one cache line.
 type gwShard struct {
 	mu sync.Mutex
-	// sessions points at this shard's current immutable ID→session map.
-	// guarded by mu for writers; readers use the atomic load only.
-	sessions atomic.Pointer[map[uint64]*Session]
+	// sessions maps ID → session. guarded by mu for writers; readers call
+	// the lock-free Get only.
+	sessions shardix.Table[Session, *Session]
 	_        [40]byte
 }
 
@@ -161,10 +159,6 @@ func NewServer(cfg ServerConfig) *Server {
 		tenants:     newTenantSeries(reg, capN),
 		sessionless: cfg.Sessionless,
 	}
-	empty := make(map[uint64]*Session)
-	for i := range s.shards {
-		s.shards[i].sessions.Store(&empty) //lint:allow mutexguard construction: the server is not shared until NewServer returns
-	}
 	return s
 }
 
@@ -190,17 +184,11 @@ func (s *Server) Register(id uint64, tenant string, handle func(datagram []byte)
 	sess := &Session{id: id, tenant: tenant, handle: handle, dgrams: th.datagrams, srv: s}
 	sh := &s.shards[shardix.Index(id, s.mask)]
 	sh.mu.Lock()
-	cur := *sh.sessions.Load()
-	if _, dup := cur[id]; dup {
+	if sh.sessions.Get(id) != nil {
 		sh.mu.Unlock()
 		return nil, fmt.Errorf("%w: %d", ErrDuplicateSession, id)
 	}
-	next := make(map[uint64]*Session, len(cur)+1)
-	for k, v := range cur {
-		next[k] = v
-	}
-	next[id] = sess
-	sh.sessions.Store(&next)
+	sh.sessions.Put(sess)
 	sh.mu.Unlock()
 	s.active.Add(1)
 	th.active.Add(1)
@@ -213,18 +201,11 @@ func (s *Server) Register(id uint64, tenant string, handle func(datagram []byte)
 func (s *Server) unregister(sess *Session) {
 	sh := &s.shards[shardix.Index(sess.id, s.mask)]
 	sh.mu.Lock()
-	cur := *sh.sessions.Load()
-	if cur[sess.id] != sess {
+	if sh.sessions.Get(sess.id) != sess {
 		sh.mu.Unlock()
 		return
 	}
-	next := make(map[uint64]*Session, len(cur)-1)
-	for k, v := range cur {
-		if k != sess.id {
-			next[k] = v
-		}
-	}
-	sh.sessions.Store(&next)
+	sh.sessions.Delete(sess.id)
 	sh.mu.Unlock()
 	s.active.Add(-1)
 	s.tenants.handles(sess.tenant).active.Add(-1)
@@ -232,10 +213,9 @@ func (s *Server) unregister(sess *Session) {
 
 // Lookup returns the session registered under id, or nil. Lock-free.
 //
-//lint:allow mutexguard lock-free read: the map is immutable and the pointer load is atomic
+//lint:allow mutexguard lock-free read: Table.Get loads each probed slot atomically; writers store only fully built sessions
 func (s *Server) Lookup(id uint64) *Session {
-	sh := &s.shards[shardix.Index(id, s.mask)]
-	return (*sh.sessions.Load())[id]
+	return s.shards[shardix.Index(id, s.mask)].sessions.Get(id)
 }
 
 // Dispatch routes one datagram to its session's handler: peek the session
@@ -249,7 +229,7 @@ func (s *Server) Lookup(id uint64) *Session {
 // not retain the slice.
 //
 //remicss:noalloc
-//lint:allow mutexguard lock-free read: the map is immutable and the pointer load is atomic
+//lint:allow mutexguard lock-free read: Table.Get loads each probed slot atomically; writers store only fully built sessions
 func (s *Server) Dispatch(datagram []byte) {
 	id, ok := wire.PeekSession(datagram)
 	if !ok {
@@ -264,8 +244,7 @@ func (s *Server) Dispatch(datagram []byte) {
 		s.met.unknown.Inc()
 		return
 	}
-	sh := &s.shards[shardix.Index(id, s.mask)]
-	sess := (*sh.sessions.Load())[id]
+	sess := s.shards[shardix.Index(id, s.mask)].sessions.Get(id)
 	if sess == nil {
 		s.met.unknown.Inc()
 		return

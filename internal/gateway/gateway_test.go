@@ -2,7 +2,10 @@ package gateway
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -288,5 +291,135 @@ func TestGatewayEndToEnd(t *testing.T) {
 				t.Fatalf("cross-session leakage: %d datagrams hit no session", got)
 			}
 		})
+	}
+}
+
+// TestRegisterCostFlat: a registration publishes one slot in its shard's
+// table, so the cost per session of registering n sessions must not grow
+// with n. Registering 100k sessions may cost at most half an allocation
+// and 1.5× the bytes per session more than registering 1k (both include
+// the amortized slot-array growth), and at most 6× the time per session: a
+// larger working set misses more in the CPU caches, and the race detector
+// alone takes the ratio to ~3×. The copy-on-write table this replaced
+// copied the whole shard on every Register: at the default 1024 shards,
+// ~50 entries per call on average on the way to 100k sessions, against
+// under one on the way to 1k (6× the bytes and 12× the time per session).
+func TestRegisterCostFlat(t *testing.T) {
+	handle := func([]byte) {}
+	type cost struct {
+		allocs, bytes float64
+		perSession    time.Duration
+	}
+	measure := func(n int) cost {
+		const rounds = 3
+		var c cost
+		times := make([]time.Duration, 0, rounds)
+		for r := 0; r < rounds; r++ {
+			s := NewServer(ServerConfig{})
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			start := time.Now()
+			for id := 1; id <= n; id++ {
+				if _, err := s.Register(uint64(id), "t", handle); err != nil {
+					t.Fatal(err)
+				}
+			}
+			times = append(times, time.Since(start)/time.Duration(n))
+			runtime.ReadMemStats(&after)
+			c.allocs += float64(after.Mallocs-before.Mallocs) / float64(n*rounds)
+			c.bytes += float64(after.TotalAlloc-before.TotalAlloc) / float64(n*rounds)
+		}
+		slices.Sort(times)
+		c.perSession = times[rounds/2]
+		return c
+	}
+	small, large := measure(1000), measure(100000)
+	t.Logf("per session registering 1k: %+v; 100k: %+v", small, large)
+	if large.allocs > small.allocs+0.5 {
+		t.Errorf("allocations per session: %.2f for 1k, %.2f for 100k", small.allocs, large.allocs)
+	}
+	if large.bytes > 1.5*small.bytes {
+		t.Errorf("bytes per session: %.0f for 1k, %.0f for 100k (bound 1.5×)", small.bytes, large.bytes)
+	}
+	if large.perSession > 6*small.perSession {
+		t.Errorf("time per session: %v for 1k, %v for 100k (bound 6×)", small.perSession, large.perSession)
+	}
+}
+
+// TestDispatchRegistrationChurn races Dispatch against Register and Close
+// on the same shards, so slots are filled, deleted, reused and regrown
+// under the readers. A session live for the whole run must receive every
+// datagram sent to it; an ID closed before the run, and a churned ID just
+// after its Close returned, must count as unknown every time. Run with
+// -race.
+func TestDispatchRegistrationChurn(t *testing.T) {
+	s := NewServer(ServerConfig{Shards: 2})
+	const live, closed = 16, 16
+	var delivered [live]atomic.Int64
+	for i := 0; i < live; i++ {
+		if _, err := s.Register(uint64(1+i), "live", func([]byte) { delivered[i].Add(1) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < closed; i++ {
+		sess, err := s.Register(uint64(1000+i), "closed", func([]byte) { t.Error("closed session got a datagram") })
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess.Close()
+	}
+	unknown := s.Metrics().Counter("remicss_gateway_unknown_session_total")
+
+	var sent [live]atomic.Int64
+	var wantUnknown atomic.Int64
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; !stop.Load(); i++ {
+				if i%2 == 0 {
+					k := (i / 2) % live
+					s.Dispatch(marshalSession(t, uint64(1+k), []byte("live")))
+					sent[k].Add(1)
+				} else {
+					s.Dispatch(marshalSession(t, uint64(1000+(i/2)%closed), []byte("closed")))
+					wantUnknown.Add(1)
+				}
+			}
+		}(g)
+	}
+	for round := 0; round < 50; round++ {
+		var sessions []*Session
+		for id := uint64(1 << 20); id < 1<<20+64; id++ {
+			var got atomic.Int64
+			sess, err := s.Register(id, "churn", func([]byte) { got.Add(1) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := marshalSession(t, id, []byte("churn"))
+			s.Dispatch(d)
+			if got.Load() != 1 {
+				t.Fatalf("session %d missed a datagram right after Register returned", id)
+			}
+			sessions = append(sessions, sess)
+		}
+		for _, sess := range sessions {
+			sess.Close()
+			s.Dispatch(marshalSession(t, sess.ID(), []byte("churn")))
+			wantUnknown.Add(1)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	for k := range sent {
+		if got, want := delivered[k].Load(), sent[k].Load(); got != want {
+			t.Errorf("live session %d received %d of %d datagrams", 1+k, got, want)
+		}
+	}
+	if got, want := unknown.Value(), wantUnknown.Load(); got != want {
+		t.Errorf("unknown_session_total = %d, want %d (closed IDs only)", got, want)
 	}
 }

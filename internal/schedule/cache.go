@@ -2,7 +2,7 @@ package schedule
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,6 +10,7 @@ import (
 	"remicss/internal/core"
 	"remicss/internal/lp"
 	"remicss/internal/obs"
+	"remicss/internal/shardix"
 )
 
 // SolveTier reports how a Cache resolved a schedule request. Ordered from
@@ -103,10 +104,11 @@ func (c CacheConfig) withDefaults() CacheConfig {
 	return c
 }
 
-// cacheEntry is one immutable resolved schedule. Entries form collision
-// chains; all fields except lastUsed are written once before publication.
+// cacheEntry is one resolved schedule. Entries form collision chains; all
+// fields except next and lastUsed are written once before publication.
 type cacheEntry struct {
-	next     *cacheEntry
+	next     atomic.Pointer[cacheEntry] // eviction unlinks in place
+	hash     uint64                     // hashState of the entry's state
 	kind     programKind
 	obj      Objective
 	kappa    uint64 // float bits
@@ -118,12 +120,7 @@ type cacheEntry struct {
 	lastUsed atomic.Uint64 // generation clock at last touch
 }
 
-// cacheTable is the immutable published state of the cache. Readers load it
-// atomically; writers replace it wholesale.
-type cacheTable struct {
-	entries map[uint64]*cacheEntry
-	count   int
-}
+func (e *cacheEntry) ID() uint64 { return e.hash } // the table key
 
 // Cache memoizes optimized share schedules keyed by quantized channel
 // state, so steady-state adaptation (health failover, controller retuning)
@@ -132,20 +129,21 @@ type cacheTable struct {
 // solve — the three tiers of the solve path.
 //
 // The read path takes no locks and performs no allocation: it hashes the
-// quantized channel state, walks an immutable table published by atomic
-// pointer swap, and compares entries field-wise. Writes (misses) are
-// serialized by a mutex and publish a fresh table. Schedules returned by
-// the cache are shared and must not be mutated by callers.
+// quantized channel state, loads its chain from a lock-free shardix.Table,
+// and compares entries field-wise. Writes (misses) are serialized by a
+// mutex and publish one table slot each, whatever the fill. Schedules
+// returned by the cache are shared and must not be mutated by callers.
 //
 // Because solves run on the quantized channel values, any two states that
 // quantize equally produce byte-identical schedules — across goroutines and
 // across cache instances with the same grid.
 type Cache struct {
 	cfg   CacheConfig
-	table atomic.Pointer[cacheTable]
+	table shardix.Table[cacheEntry, *cacheEntry] // state hash → chain head; written under mu
 	gen   atomic.Uint64
 
 	mu     sync.Mutex // serializes the miss path
+	count  int        // entries in table; written under mu
 	solver *lp.Solver // guarded by mu
 	basis  *lp.Basis  // guarded by mu
 
@@ -314,16 +312,12 @@ func (c *Cache) warmSolve(prob lp.Problem) (lp.Solution, SolveTier, error) {
 }
 
 // lookup is the lock-free, allocation-free cache read path: hash the
-// quantized state, walk the immutable table, compare field-wise.
+// quantized state, load its chain from the table, compare field-wise.
 //
 //remicss:noalloc
 func (c *Cache) lookup(kind programKind, s core.Set, corr core.Correlation, kappa, mu float64, obj Objective) (*cacheEntry, bool) {
-	t := c.table.Load()
-	if t == nil {
-		return nil, false
-	}
 	h := c.hashState(kind, s, corr, kappa, mu, obj)
-	for e := t.entries[h]; e != nil; e = e.next {
+	for e := c.table.Get(h); e != nil; e = e.next.Load() {
 		if c.entryMatches(e, kind, s, corr, kappa, mu, obj) {
 			e.lastUsed.Store(c.gen.Add(1))
 			if c.hits != nil {
@@ -465,8 +459,8 @@ func (c *Cache) quantizeCorr(corr core.Correlation) core.Correlation {
 	return out
 }
 
-// insert publishes a new table containing the entry, evicting the
-// least-recently-used quarter when the table is full. Caller holds c.mu.
+// insert publishes the entry at the head of its hash chain, first evicting
+// the least-recently-used quarter when the table is full. Caller holds c.mu.
 func (c *Cache) insert(kind programKind, qs core.Set, qc core.Correlation, kappa, mu float64, obj Objective, sched core.Schedule, members []int) {
 	qchan := make([]int64, 0, 4*len(qs))
 	for i := range qs {
@@ -479,6 +473,7 @@ func (c *Cache) insert(kind programKind, qs core.Set, qc core.Correlation, kappa
 		qcorr = append(qcorr, int64(g.Mask), c.quantRho(g.RiskRho), c.quantRho(g.LossRho))
 	}
 	e := &cacheEntry{
+		hash:    c.hashState(kind, qs, qc, kappa, mu, obj),
 		kind:    kind,
 		obj:     obj,
 		kappa:   math.Float64bits(kappa),
@@ -490,65 +485,57 @@ func (c *Cache) insert(kind programKind, qs core.Set, qc core.Correlation, kappa
 	}
 	e.lastUsed.Store(c.gen.Add(1))
 
-	old := c.table.Load()
-	next := &cacheTable{entries: map[uint64]*cacheEntry{}}
-	if old != nil {
-		var floor uint64
-		if old.count >= c.cfg.MaxEntries {
-			floor = c.evictionFloor(old)
-		}
-		for h, head := range old.entries {
-			for cur := head; cur != nil; cur = cur.next {
-				if cur.lastUsed.Load() < floor {
-					if c.evictions != nil {
-						c.evictions.Inc()
-					}
-					continue
-				}
-				kept := &cacheEntry{
-					next: next.entries[h], kind: cur.kind, obj: cur.obj,
-					kappa: cur.kappa, mu: cur.mu, qchan: cur.qchan,
-					qcorr: cur.qcorr, sched: cur.sched, members: cur.members,
-				}
-				kept.lastUsed.Store(cur.lastUsed.Load())
-				next.entries[h] = kept
-				next.count++
-			}
-		}
+	if c.count >= c.cfg.MaxEntries {
+		c.evict()
 	}
-	h := c.hashState(kind, qs, qc, kappa, mu, obj)
-	e.next = next.entries[h]
-	next.entries[h] = e
-	next.count++
-	c.table.Store(next)
+	e.next.Store(c.table.Get(e.hash))
+	c.table.Put(e)
+	c.count++
 }
 
-// evictionFloor returns the lastUsed generation below which entries are
-// dropped: the quartile boundary of the current table's recency values.
-func (c *Cache) evictionFloor(t *cacheTable) uint64 {
-	used := make([]uint64, 0, t.count)
-	for _, head := range t.entries {
-		for cur := head; cur != nil; cur = cur.next {
+// evict drops every entry last used before the quartile boundary of the
+// table's recency values, unlinking it in place: a reader already on it
+// still follows its next pointer. Caller holds c.mu.
+func (c *Cache) evict() {
+	used := make([]uint64, 0, c.count)
+	c.table.Range(func(head *cacheEntry) {
+		for cur := head; cur != nil; cur = cur.next.Load() {
 			used = append(used, cur.lastUsed.Load())
 		}
-	}
-	sort.Slice(used, func(i, j int) bool { return used[i] < used[j] })
-	idx := len(used) / 4
-	if idx == 0 {
-		idx = 1
-	}
+	})
+	slices.Sort(used)
+	idx := max(len(used)/4, 1)
 	if idx >= len(used) {
-		return 0
+		return
 	}
-	return used[idx] + 1
+	floor := used[idx] + 1
+	c.table.Range(func(head *cacheEntry) {
+		var prev *cacheEntry
+		for cur := head; cur != nil; cur = cur.next.Load() {
+			switch next := cur.next.Load(); {
+			case cur.lastUsed.Load() >= floor:
+				prev = cur
+				continue
+			case prev != nil:
+				prev.next.Store(next)
+			case next != nil:
+				c.table.Put(next)
+			default:
+				c.table.Delete(cur.hash)
+			}
+			c.count--
+			if c.evictions != nil {
+				c.evictions.Inc()
+			}
+		}
+	})
 }
 
 // Len reports the number of cached schedules.
 func (c *Cache) Len() int {
-	if t := c.table.Load(); t != nil {
-		return t.count
-	}
-	return 0
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.count
 }
 
 func (c *Cache) emit(tier SolveTier) {

@@ -3,6 +3,7 @@ package schedule
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -361,5 +362,134 @@ func TestCacheTraceEvents(t *testing.T) {
 	}
 	if events[1].At != 42*time.Millisecond {
 		t.Fatalf("event timestamp = %v, want the configured clock", events[1].At)
+	}
+}
+
+// TestCacheMissAllocsIndependentOfFill: a miss publishes one table slot, so
+// its allocations must not grow with the number of cached entries. The same
+// misses run against a 64-entry and a 4096-entry cache, each filled with
+// unrelated states to just below its bound, so no eviction runs.
+func TestCacheMissAllocsIndependentOfFill(t *testing.T) {
+	const runs = 10
+	s := diverseSet()
+	filler := core.Uniform(core.Assignment{K: 1, Mask: 1})
+	missAllocs := func(maxEntries int) float64 {
+		c := NewCache(CacheConfig{Options: Options{Limited: true}, MaxEntries: maxEntries})
+		c.mu.Lock()
+		for i := 0; i < maxEntries-runs-1; i++ {
+			qs := c.quantizeSet(s)
+			qs[4].Rate = float64(1000 + 10*i) // a cell no query below reaches
+			c.insert(programSectionIVB, qs, core.Correlation{}, 2, 3, ObjectiveRisk, filler, nil)
+		}
+		c.mu.Unlock()
+		i := 0
+		return testing.AllocsPerRun(runs, func() {
+			q := append(core.Set(nil), s...)
+			q[0].Risk = 0.40 + 0.02*float64(i)
+			i++
+			if _, tier, err := c.Optimize(q, 2, 3, ObjectiveRisk); err != nil || tier == TierCached {
+				t.Fatalf("query %d: tier %v, err %v; want a miss", i, tier, err)
+			}
+		})
+	}
+	small, large := missAllocs(64), missAllocs(4096)
+	if small != large {
+		t.Fatalf("a miss allocates %v times at 64 entries but %v at 4096", small, large)
+	}
+}
+
+// TestCacheHitsDuringEvictionRace: lock-free hits race inserts and quartile
+// evictions in an 8-entry cache. Every hit must return a schedule that a
+// solve produced for exactly the state queried. Run with -race.
+func TestCacheHitsDuringEvictionRace(t *testing.T) {
+	reg := obs.NewRegistry()
+	c := NewCache(CacheConfig{Options: Options{Limited: true}, MaxEntries: 8, Metrics: reg})
+	s := diverseSet()
+	const states, goroutines, iters = 24, 4, 300
+	type result struct {
+		state int
+		sched core.Schedule
+		tier  SolveTier
+	}
+	results := make([][]result, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < iters; i++ {
+				j := rng.Intn(states)
+				if rng.Intn(2) == 0 {
+					j %= 4 // a hot subset, so hits and evictions interleave
+				}
+				q := append(core.Set(nil), s...)
+				q[0].Risk = 0.05 + 0.02*float64(j)
+				sched, tier, err := c.Optimize(q, 2, 3, ObjectiveRisk)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				results[g] = append(results[g], result{j, sched, tier})
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	solved := make([][]core.Schedule, states)
+	for _, rs := range results {
+		for _, r := range rs {
+			if r.tier != TierCached {
+				solved[r.state] = append(solved[r.state], r.sched)
+			}
+		}
+	}
+	hits := 0
+	for _, rs := range results {
+		for _, r := range rs {
+			if r.tier != TierCached {
+				continue
+			}
+			hits++
+			if !slices.ContainsFunc(solved[r.state], func(p core.Schedule) bool { return reflect.DeepEqual(p, r.sched) }) {
+				t.Fatalf("a hit for state %d returned a schedule no solve of that state produced", r.state)
+			}
+		}
+	}
+	if hits == 0 || counterValue(t, reg, "remicss_schedule_cache_evictions_total") == 0 {
+		t.Fatalf("hits = %d, evictions = %d: the race did not exercise both", hits,
+			counterValue(t, reg, "remicss_schedule_cache_evictions_total"))
+	}
+}
+
+// TestCacheCountsPinned: a fixed request sequence, a random walk over 48
+// states through a 16-entry cache, must give exactly the hit, miss and
+// eviction counts the copy-on-write table this cache replaced gave.
+func TestCacheCountsPinned(t *testing.T) {
+	reg := obs.NewRegistry()
+	c := NewCache(CacheConfig{Options: Options{Limited: true}, MaxEntries: 16, Metrics: reg})
+	s := diverseSet()
+	rng := rand.New(rand.NewSource(12))
+	state := 0
+	for i := 0; i < 600; i++ {
+		state = (state + rng.Intn(7) - 3 + 48) % 48
+		q := append(core.Set(nil), s...)
+		q[0].Risk = 0.05 + 0.02*float64(state%8)
+		q[3].Loss = 0.01 + 0.01*float64(state/8)
+		if _, _, err := c.OptimizeAtMaxRate(q, 2, 3, ObjectiveRisk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, want := range map[string]int64{
+		"remicss_schedule_cache_hits_total":      479,
+		"remicss_schedule_cache_misses_total":    121,
+		"remicss_schedule_cache_evictions_total": 105,
+	} {
+		if got := counterValue(t, reg, name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if c.Len() != 16 {
+		t.Errorf("Len() = %d, want 16", c.Len())
 	}
 }

@@ -1,6 +1,7 @@
 // Package shardix provides the shard-index mixing used by every sharded
 // table in this repository: the splitmix64 finalizer over a key, masked
-// down to a power-of-two shard count.
+// down to a power-of-two shard count. Its Table is the lock-free-read hash
+// table the schedule cache and each gateway shard keep their entries in.
 //
 // Senders assign sequence numbers sequentially and gateways assign session
 // IDs in registration order, so the raw low bits of either would stripe
