@@ -89,25 +89,22 @@ func benchScheduleTiers(n int) (scheduleBenchEntry, error) {
 	rng := rand.New(rand.NewSource(int64(1000 + n)))
 	set := benchScheduleSet(rng, n)
 	const kappa, mu = 2.5, 3.5
-	opts := schedule.Options{Limited: true}
-	// Beyond the exact mask-enumeration range the cache serves the wide
-	// sampled-generation program.
-	wide := n > 22
+	req := schedule.Request{Set: set, Kappa: kappa, Mu: mu, Obj: schedule.ObjectiveRisk, Limited: true}
+	// Beyond the exact mask-enumeration range the program runs over
+	// generated candidates and its optimum is compacted onto its support.
 	program := "section-ivb"
-	if wide {
+	if n > core.MaxChannels {
 		program = "wide"
 	}
 
 	solve := func(c *schedule.Cache, kap float64) (schedule.SolveTier, error) {
-		if wide {
-			_, _, tier, err := c.OptimizeLarge(set, kap, mu, schedule.ObjectiveRisk)
-			return tier, err
-		}
-		_, tier, err := c.Optimize(set, kap, mu, schedule.ObjectiveRisk)
+		r := req
+		r.Kappa = kap
+		_, tier, err := c.Solve(r)
 		return tier, err
 	}
 	newCache := func(reg *obs.Registry) *schedule.Cache {
-		return schedule.NewCache(schedule.CacheConfig{Options: opts, Metrics: reg, MaxEntries: 64})
+		return schedule.NewCache(schedule.CacheConfig{Metrics: reg, MaxEntries: 64})
 	}
 
 	// Fail fast before spending benchmark time.
@@ -118,13 +115,13 @@ func benchScheduleTiers(n int) (scheduleBenchEntry, error) {
 	// Materialize the program once; cold and warm below measure the solve
 	// layer on it. On a cache miss both the build and a solve run, so the
 	// build cost is benchmarked separately for total-latency context.
-	prob, err := schedule.Program(set, kappa, mu, schedule.ObjectiveRisk, opts)
+	prob, err := req.Program()
 	if err != nil {
 		return scheduleBenchEntry{}, fmt.Errorf("n=%d: %w", n, err)
 	}
 	buildRes := benchRunner(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := schedule.Program(set, kappa, mu, schedule.ObjectiveRisk, opts); err != nil {
+			if _, err := req.Program(); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -105,19 +105,13 @@ func channelsFromFile(path string) (remicss.ChannelSet, error) {
 // "risk": .., "loss": .., "delay_ms": .., "rate": ..} for machine
 // consumption.
 func printScheduleJSON(set remicss.ChannelSet, kappa, mu float64, obj remicss.Objective, maxRate, limited bool) error {
-	opts := remicss.ScheduleOptions{Limited: limited}
-	var (
-		sched remicss.Schedule
-		err   error
-	)
-	if maxRate {
-		sched, err = remicss.OptimizeScheduleAtMaxRate(set, kappa, mu, obj, opts)
-	} else {
-		sched, err = remicss.OptimizeSchedule(set, kappa, mu, obj, opts)
-	}
+	res, err := remicss.SolveSchedule(remicss.ScheduleRequest{
+		Set: set, Kappa: kappa, Mu: mu, Obj: obj, MaxRate: maxRate, Limited: limited,
+	})
 	if err != nil {
 		return err
 	}
+	sched := res.Schedule
 	rc, err := set.OptimalRate(mu)
 	if err != nil {
 		return err
@@ -134,8 +128,8 @@ func printScheduleJSON(set remicss.ChannelSet, kappa, mu float64, obj remicss.Ob
 		Schedule: sched,
 		Kappa:    sched.Kappa(),
 		Mu:       sched.Mu(),
-		Risk:     sched.Risk(set),
-		Loss:     sched.Loss(set),
+		Risk:     sched.Risk(set, remicss.Correlation{}),
+		Loss:     sched.Loss(set, remicss.Correlation{}),
 		DelayMs:  sched.Delay(set) * 1e3,
 		Rate:     rc,
 	}
@@ -273,19 +267,13 @@ func printRateCurve(set remicss.ChannelSet, step float64) {
 }
 
 func printSchedule(set remicss.ChannelSet, kappa, mu float64, obj remicss.Objective, maxRate, limited bool) error {
-	opts := remicss.ScheduleOptions{Limited: limited}
-	var (
-		sched remicss.Schedule
-		err   error
-	)
-	if maxRate {
-		sched, err = remicss.OptimizeScheduleAtMaxRate(set, kappa, mu, obj, opts)
-	} else {
-		sched, err = remicss.OptimizeSchedule(set, kappa, mu, obj, opts)
-	}
+	res, err := remicss.SolveSchedule(remicss.ScheduleRequest{
+		Set: set, Kappa: kappa, Mu: mu, Obj: obj, MaxRate: maxRate, Limited: limited,
+	})
 	if err != nil {
 		return err
 	}
+	sched := res.Schedule
 	mode := "unconstrained"
 	if maxRate {
 		mode = "at maximum rate"
@@ -298,7 +286,7 @@ func printSchedule(set remicss.ChannelSet, kappa, mu float64, obj remicss.Object
 		fmt.Printf("  p%v = %.6f\n", a, sched[a])
 	}
 	fmt.Printf("resulting: Z(p) = %.6g, L(p) = %.6g, D(p) = %.6gms\n",
-		sched.Risk(set), sched.Loss(set), sched.Delay(set)*1e3)
+		sched.Risk(set, remicss.Correlation{}), sched.Loss(set, remicss.Correlation{}), sched.Delay(set)*1e3)
 	if rc, err := set.OptimalRate(mu); err == nil {
 		fmt.Printf("optimal rate at μ = %g: %.2f symbols/s\n", mu, rc)
 	}

@@ -26,12 +26,13 @@ func ExampleCorrelation() {
 		panic(err)
 	}
 
-	const k, mask = 2, 0b111
-	fmt.Printf("independent: %.4f\n", set.SubsetRisk(k, mask))
-	fmt.Printf("correlated:  %.4f\n", set.CorrelatedSubsetRisk(corr, k, mask))
+	const k = 2
+	all := []int{0, 1, 2}
+	fmt.Printf("independent: %.4f\n", set.SubsetRisk(remicss.Correlation{}, k, all))
+	fmt.Printf("correlated:  %.4f\n", set.SubsetRisk(corr, k, all))
 	// The group's own contribution: a common-cause shock that hands the
 	// adversary both member shares in one stroke.
-	fmt.Printf("group share: %.4f\n", set.GroupExposure(corr, 0, k, mask))
+	fmt.Printf("group share: %.4f\n", set.GroupExposure(corr, 0, k, all))
 	// Output:
 	// independent: 0.0280
 	// correlated:  0.0843

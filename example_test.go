@@ -47,17 +47,19 @@ func ExampleChannelSet_extremes() {
 	// full utilization needs μ <= 2.4999
 }
 
-func ExampleOptimizeScheduleAtMaxRate() {
+func ExampleSolveSchedule() {
 	set := exampleSet()
 	// The Section IV-D program: minimize risk at κ=2, μ=3 while
 	// guaranteeing the schedule can transmit at the optimal rate.
-	sched, err := remicss.OptimizeScheduleAtMaxRate(set, 2, 3,
-		remicss.ObjectiveRisk, remicss.ScheduleOptions{})
+	res, err := remicss.SolveSchedule(remicss.ScheduleRequest{
+		Set: set, Kappa: 2, Mu: 3, Obj: remicss.ObjectiveRisk, MaxRate: true,
+	})
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	fmt.Printf("κ=%.1f μ=%.1f risk=%.4f\n", sched.Kappa(), sched.Mu(), sched.Risk(set))
+	sched := res.Schedule
+	fmt.Printf("κ=%.1f μ=%.1f risk=%.4f\n", sched.Kappa(), sched.Mu(), sched.Risk(set, remicss.Correlation{}))
 	// Output:
 	// κ=2.0 μ=3.0 risk=0.0938
 }

@@ -43,15 +43,16 @@ func main() {
 		{Risk: 0.2, Rate: 100},
 		{Risk: 0.1, Rate: 100},
 	}
-	sched, err := remicss.OptimizeSchedule(set, 2, 3, remicss.ObjectiveRisk, remicss.ScheduleOptions{})
+	res, err := remicss.SolveSchedule(remicss.ScheduleRequest{Set: set, Kappa: 2, Mu: 3, Obj: remicss.ObjectiveRisk})
 	if err != nil {
 		log.Fatal(err)
 	}
+	sched := res.Schedule
 	fmt.Println("optimal risk schedule for κ=2, μ=3 avoids the exposed channel:")
 	for _, a := range sched.Support() {
 		fmt.Printf("  p%v = %.4f\n", a, sched[a])
 	}
-	predicted := sched.Risk(set)
+	predicted := sched.Risk(set, remicss.Correlation{})
 
 	// Monte-Carlo the adversary: for each symbol, draw (k, M) from the
 	// schedule, then each share on channel i is observed with probability
@@ -83,7 +84,7 @@ func main() {
 		{K: 2, Mask: 0b1101}: 0.5,
 	}
 	fmt.Printf("\nnaive schedule using the exposed channel: Z = %.5f (%.1fx worse)\n",
-		naive.Risk(set), naive.Risk(set)/predicted)
+		naive.Risk(set, remicss.Correlation{}), naive.Risk(set, remicss.Correlation{})/predicted)
 }
 
 // entropy computes the empirical byte entropy in bits per byte.

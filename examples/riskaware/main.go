@@ -68,11 +68,14 @@ func main() {
 	fmt.Printf("\nconfidentiality target: Z(p) < %.2f%%\n", maxRisk*100)
 	for kappa := 1.0; kappa <= 4; kappa++ {
 		mu := kappa + 1
-		sched, err := remicss.OptimizeScheduleAtMaxRate(set, kappa, mu, remicss.ObjectiveRisk, remicss.ScheduleOptions{})
+		res, err := remicss.SolveSchedule(remicss.ScheduleRequest{
+			Set: set, Kappa: kappa, Mu: mu, Obj: remicss.ObjectiveRisk, MaxRate: true,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		risk := sched.Risk(set)
+		sched := res.Schedule
+		risk := sched.Risk(set, remicss.Correlation{})
 		rate, err := set.OptimalRate(mu)
 		if err != nil {
 			log.Fatal(err)
@@ -88,7 +91,7 @@ func main() {
 				fmt.Printf("  p%v = %.4f\n", a, sched[a])
 			}
 			fmt.Printf("loss with this schedule: %.6f; delay %.1fms\n",
-				sched.Loss(set), sched.Delay(set)*1e3)
+				sched.Loss(set, remicss.Correlation{}), sched.Delay(set)*1e3)
 			return
 		}
 	}

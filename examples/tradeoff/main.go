@@ -63,11 +63,13 @@ func main() {
 }
 
 func riskAt(set remicss.ChannelSet, kappa, mu float64) float64 {
-	sched, err := remicss.OptimizeScheduleAtMaxRate(set, kappa, mu, remicss.ObjectiveRisk, remicss.ScheduleOptions{})
+	res, err := remicss.SolveSchedule(remicss.ScheduleRequest{
+		Set: set, Kappa: kappa, Mu: mu, Obj: remicss.ObjectiveRisk, MaxRate: true,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	return sched.Risk(set)
+	return res.Schedule.Risk(set, remicss.Correlation{})
 }
 
 func mustRate(set remicss.ChannelSet, mu float64) float64 {

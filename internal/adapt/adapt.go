@@ -41,8 +41,7 @@ type Config struct {
 	// Cache memoizes Retune's max-rate solves by quantized channel state and
 	// probed (κ, μ), so periodic retuning over a slowly-drifting risk vector
 	// is a cache hit or a warm simplex re-solve instead of a cold solve. Nil
-	// gives the controller a private cache. A shared cache must be built
-	// with the zero schedule.Options (what Retune solves with).
+	// gives the controller a private cache.
 	Cache *schedule.Cache
 }
 
@@ -130,11 +129,13 @@ func (c *Controller) Retune(set core.Set) (float64, float64, error) {
 	var lastRisk float64
 	for kappa := c.cfg.KappaFloor; kappa <= n; kappa++ {
 		mu := math.Max(c.mu, kappa)
-		sched, _, err := c.cfg.Cache.OptimizeAtMaxRate(set, kappa, mu, schedule.ObjectiveRisk)
+		res, _, err := c.cfg.Cache.Solve(schedule.Request{
+			Set: set, Kappa: kappa, Mu: mu, Obj: schedule.ObjectiveRisk, MaxRate: true,
+		})
 		if err != nil {
 			return 0, 0, fmt.Errorf("adapt: optimizing at κ=%v: %w", kappa, err)
 		}
-		lastRisk = sched.Risk(set)
+		lastRisk = res.Schedule.Risk(set, core.Correlation{})
 		if lastRisk <= c.cfg.MaxRisk {
 			c.kappa = kappa
 			c.mu = mu

@@ -50,7 +50,7 @@ type ChaosConfig struct {
 	// Privacy, when non-nil, scores the run under the correlated-adversary
 	// model and leakage meter and attaches a PrivacyReport to the result.
 	// When Resolve is also set, the chooser re-solves under the same
-	// correlated model (remicss.ResolveCorrelated).
+	// correlated model (remicss.Resolve).
 	Privacy *PrivacyConfig
 	// PayloadBytes is the symbol size. Defaults to DefaultPayloadBytes.
 	PayloadBytes int
@@ -217,11 +217,8 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	}
 	var opts []remicss.HealthOption
 	if cfg.Resolve {
-		if corr, ok := privacyCorrelation(cfg, set.N()); ok {
-			opts = append(opts, remicss.ResolveCorrelated(set, corr, schedule.ObjectiveLoss))
-		} else {
-			opts = append(opts, remicss.Resolve(set, schedule.ObjectiveLoss))
-		}
+		corr, _ := privacyCorrelation(cfg, set.N())
+		opts = append(opts, remicss.Resolve(set, corr, schedule.ObjectiveLoss))
 	}
 	chooser, err := remicss.NewHealthChooser(cfg.Kappa, cfg.Mu, tracker, rand.New(rand.NewSource(seed+100)), opts...)
 	if err != nil {

@@ -16,7 +16,7 @@ import (
 func TestModelProtocolCrossValidation(t *testing.T) {
 	setup := Lossy() // diverse rates, per-channel loss 0.5%..3%
 	set := setup.ChannelSet(DefaultPayloadBytes)
-	fullMask := set.FullMask()
+	all := core.Assignment{Mask: set.FullMask()}.Members()
 
 	for k := 1; k <= 5; k++ {
 		// Offer well below R_C for m=5 (the 5 Mbps channel binds) so
@@ -34,7 +34,7 @@ func TestModelProtocolCrossValidation(t *testing.T) {
 			t.Fatalf("k=%d: %v", k, err)
 		}
 
-		wantLoss := set.SubsetLoss(k, fullMask)
+		wantLoss := set.SubsetLoss(core.Correlation{}, k, all)
 		if math.Abs(res.LossFraction-wantLoss) > 0.02 {
 			t.Errorf("k=%d: measured loss %.4f, model %.4f", k, res.LossFraction, wantLoss)
 		}
@@ -46,7 +46,7 @@ func TestModelProtocolCrossValidation(t *testing.T) {
 func TestDelayedSetupDelayCrossValidation(t *testing.T) {
 	setup := Delayed()
 	set := setup.ChannelSet(DefaultPayloadBytes)
-	fullMask := set.FullMask()
+	all := core.Assignment{Mask: set.FullMask()}.Members()
 
 	for k := 1; k <= 5; k++ {
 		res, err := Run(RunConfig{
@@ -60,7 +60,7 @@ func TestDelayedSetupDelayCrossValidation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
-		want := set.SubsetDelay(k, fullMask)
+		want := set.SubsetDelay(k, all)
 		got := res.MeanDelay.Seconds()
 		// Serialization adds up to one packet time on the slowest channel
 		// (~2.24ms at 446 pps); allow that plus slack.
@@ -87,7 +87,7 @@ func TestScheduleRiskMonteCarlo(t *testing.T) {
 	if err := sched.Validate(set.N()); err != nil {
 		t.Fatal(err)
 	}
-	predicted := sched.Risk(set)
+	predicted := sched.Risk(set, core.Correlation{})
 
 	rng := newDeterministicRand(31)
 	const symbols = 300000

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"remicss/internal/core"
 	"remicss/internal/obs"
 	"remicss/internal/schedule"
 )
@@ -133,7 +134,7 @@ func Fig4(fc FigureConfig) ([]DelayPoint, error) {
 	var points []DelayPoint
 	for kappa := 1; kappa <= set.N(); kappa++ {
 		for _, mu := range muSweep(float64(kappa), set.N(), fc.MuStep) {
-			opt, err := schedule.OptimizeAtMaxRate(set, float64(kappa), mu, schedule.ObjectiveDelay, schedule.Options{})
+			opt, err := schedule.Solve(schedule.Request{Set: set, Kappa: float64(kappa), Mu: mu, Obj: schedule.ObjectiveDelay, MaxRate: true})
 			if err != nil {
 				return nil, fmt.Errorf("fig4 κ=%d μ=%.2f: %w", kappa, mu, err)
 			}
@@ -144,7 +145,7 @@ func Fig4(fc FigureConfig) ([]DelayPoint, error) {
 			points = append(points, DelayPoint{
 				Kappa:     float64(kappa),
 				Mu:        mu,
-				OptimalMs: opt.Delay(set) * 1e3,
+				OptimalMs: opt.Schedule.Delay(set) * 1e3,
 				ActualMs:  float64(actual.MeanDelay) / float64(time.Millisecond),
 			})
 		}
@@ -169,7 +170,7 @@ func Fig5(fc FigureConfig) ([]LossPoint, error) {
 	var points []LossPoint
 	for kappa := 1; kappa <= set.N(); kappa++ {
 		for _, mu := range muSweep(float64(kappa), set.N(), fc.MuStep) {
-			opt, err := schedule.OptimizeAtMaxRate(set, float64(kappa), mu, schedule.ObjectiveLoss, schedule.Options{})
+			opt, err := schedule.Solve(schedule.Request{Set: set, Kappa: float64(kappa), Mu: mu, Obj: schedule.ObjectiveLoss, MaxRate: true})
 			if err != nil {
 				return nil, fmt.Errorf("fig5 κ=%d μ=%.2f: %w", kappa, mu, err)
 			}
@@ -180,7 +181,7 @@ func Fig5(fc FigureConfig) ([]LossPoint, error) {
 			points = append(points, LossPoint{
 				Kappa:       float64(kappa),
 				Mu:          mu,
-				OptimalLoss: opt.Loss(set),
+				OptimalLoss: opt.Schedule.Loss(set, core.Correlation{}),
 				ActualLoss:  actual.LossFraction,
 			})
 		}

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"remicss/internal/core"
 	"remicss/internal/schedule"
 )
 
@@ -40,21 +41,21 @@ func CompareLimited(fc FigureConfig) ([]LimitedRow, error) {
 		for _, mu := range muSweep(float64(kappa), set.N(), fc.MuStep) {
 			row := LimitedRow{Kappa: float64(kappa), Mu: mu}
 			for _, limited := range []bool{false, true} {
-				opts := schedule.Options{Limited: limited}
-				rs, err := schedule.Optimize(set, float64(kappa), mu, schedule.ObjectiveRisk, opts)
+				req := schedule.Request{Set: set, Kappa: float64(kappa), Mu: mu, Obj: schedule.ObjectiveRisk, Limited: limited}
+				rs, err := schedule.Solve(req)
 				if err != nil {
 					return nil, fmt.Errorf("limited=%v risk κ=%d μ=%.2f: %w", limited, kappa, mu, err)
 				}
-				ds, err := schedule.Optimize(set, float64(kappa), mu, schedule.ObjectiveDelay, opts)
+				req.Obj = schedule.ObjectiveDelay
+				ds, err := schedule.Solve(req)
 				if err != nil {
 					return nil, fmt.Errorf("limited=%v delay κ=%d μ=%.2f: %w", limited, kappa, mu, err)
 				}
+				risk, delayMs := rs.Schedule.Risk(set, core.Correlation{}), ds.Schedule.Delay(set)*1e3
 				if limited {
-					row.LimitedRisk = rs.Risk(set)
-					row.LimitedDelayMs = ds.Delay(set) * 1e3
+					row.LimitedRisk, row.LimitedDelayMs = risk, delayMs
 				} else {
-					row.UnlimitedRisk = rs.Risk(set)
-					row.UnlimitedDelayMs = ds.Delay(set) * 1e3
+					row.UnlimitedRisk, row.UnlimitedDelayMs = risk, delayMs
 				}
 			}
 			rows = append(rows, row)

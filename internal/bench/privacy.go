@@ -96,8 +96,8 @@ func scorePrivacy(cfg ChaosConfig, set core.Set, counts map[core.Assignment]int6
 		if n <= 0 {
 			continue
 		}
-		ind := set.SubsetRisk(a.K, a.Mask)
-		pmf := set.CorrelatedObservedPMF(corr, a.Mask)
+		ind := set.SubsetRisk(core.Correlation{}, a.K, a.Members())
+		pmf := set.ObservedPMF(corr, a.Members())
 		var sc leakage.Score
 		for i := int64(0); i < n; i++ {
 			sc = meter.RecordSymbolPMF(0, 0, a.K, pmf)

@@ -94,7 +94,7 @@ func TestPrivacyBudgetGate(t *testing.T) {
 	}
 }
 
-// Privacy scoring with the resolve chooser exercises ResolveCorrelated:
+// Privacy scoring with the resolve chooser exercises Resolve with a model:
 // the run must stay deterministic and keep the threshold floor.
 func TestPrivacyWithResolveCorrelated(t *testing.T) {
 	sc, ok := chaos.Builtin("corrblackout")

@@ -296,11 +296,11 @@ func buildChooser(cfg RunConfig, set core.Set) (remicss.Chooser, error) {
 		}
 		return c, nil
 	case ChooserStaticMaxRate:
-		sched, err := schedule.OptimizeAtMaxRate(set, cfg.Kappa, cfg.Mu, schedule.ObjectiveLoss, schedule.Options{})
+		res, err := schedule.Solve(schedule.Request{Set: set, Kappa: cfg.Kappa, Mu: cfg.Mu, Obj: schedule.ObjectiveLoss, MaxRate: true})
 		if err != nil {
 			return nil, fmt.Errorf("bench: building static schedule: %w", err)
 		}
-		c, err := remicss.NewStaticChooser(sched, set.N(), rand.New(rand.NewSource(cfg.Seed+100)))
+		c, err := remicss.NewStaticChooser(res.Schedule, set.N(), rand.New(rand.NewSource(cfg.Seed+100)))
 		if err != nil {
 			return nil, fmt.Errorf("bench: %w", err)
 		}

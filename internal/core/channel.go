@@ -13,9 +13,10 @@
 //   - subset and schedule delay D (loss-weighted k-th order statistic),
 //   - the achievable multichannel rate R (Theorems 1–4).
 //
-// Channel subsets are encoded as bitmasks over the channel set's indices,
-// matching internal/stats. The paper's evaluation uses n = 5; everything
-// here is exact (no sampling) and supports n up to stats.MaxEnumerationBits.
+// Schedules encode channel subsets as bitmasks over the channel set's
+// indices, matching internal/stats; the model formulas take member lists,
+// so they also serve sets beyond mask range. The paper's evaluation uses
+// n = 5; everything here is exact (no sampling).
 package core
 
 import (
@@ -79,9 +80,9 @@ func (s Set) Validate() error {
 	if len(s) == 0 {
 		return fmt.Errorf("%w: empty channel set", ErrInvalidChannel)
 	}
-	if len(s) > maxChannels {
+	if len(s) > MaxChannels {
 		return fmt.Errorf("%w: %d channels exceeds the enumeration cap %d",
-			ErrInvalidChannel, len(s), maxChannels)
+			ErrInvalidChannel, len(s), MaxChannels)
 	}
 	for i, c := range s {
 		if err := c.Validate(); err != nil {
@@ -142,8 +143,10 @@ func (s Set) TotalRate() float64 {
 	return sum
 }
 
-// maxChannels caps set sizes so subset enumeration stays tractable.
-const maxChannels = 22
+// MaxChannels caps the sets Validate accepts, so subset enumeration stays
+// tractable and every subset fits an Assignment bitmask. Larger sets go
+// through generated choice sets (GenerateChoices).
+const MaxChannels = 22
 
 // CheckParams validates protocol parameters kappa and mu against the set:
 // 1 <= kappa <= mu <= n.

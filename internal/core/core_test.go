@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -70,7 +71,7 @@ func TestSetValidate(t *testing.T) {
 	if err := bad.Validate(); !errors.Is(err, ErrInvalidChannel) {
 		t.Error("set with invalid channel accepted")
 	}
-	big := make(Set, maxChannels+1)
+	big := make(Set, MaxChannels+1)
 	for i := range big {
 		big[i] = Channel{Rate: 1}
 	}
@@ -110,15 +111,15 @@ func TestSubsetRiskTwoChannels(t *testing.T) {
 		{Risk: 0.5, Rate: 1},
 	}
 	// k=1: adversary needs either share: 1 - 0.7*0.5 = 0.65.
-	if got := s.SubsetRisk(1, 0b11); !almostEqual(got, 0.65, eps) {
+	if got := s.SubsetRisk(Correlation{}, 1, maskIndices(0b11)); !almostEqual(got, 0.65, eps) {
 		t.Errorf("SubsetRisk(1, both) = %v, want 0.65", got)
 	}
 	// k=2: both shares: 0.15.
-	if got := s.SubsetRisk(2, 0b11); !almostEqual(got, 0.15, eps) {
+	if got := s.SubsetRisk(Correlation{}, 2, maskIndices(0b11)); !almostEqual(got, 0.15, eps) {
 		t.Errorf("SubsetRisk(2, both) = %v, want 0.15", got)
 	}
 	// Single channel.
-	if got := s.SubsetRisk(1, 0b10); !almostEqual(got, 0.5, eps) {
+	if got := s.SubsetRisk(Correlation{}, 1, maskIndices(0b10)); !almostEqual(got, 0.5, eps) {
 		t.Errorf("SubsetRisk(1, {1}) = %v, want 0.5", got)
 	}
 }
@@ -129,11 +130,11 @@ func TestSubsetLossTwoChannels(t *testing.T) {
 		{Loss: 0.2, Rate: 1},
 	}
 	// k=1: symbol lost only if both shares lost: 0.02.
-	if got := s.SubsetLoss(1, 0b11); !almostEqual(got, 0.02, eps) {
+	if got := s.SubsetLoss(Correlation{}, 1, maskIndices(0b11)); !almostEqual(got, 0.02, eps) {
 		t.Errorf("SubsetLoss(1, both) = %v, want 0.02", got)
 	}
 	// k=2: lost if either share lost: 1 - 0.9*0.8 = 0.28.
-	if got := s.SubsetLoss(2, 0b11); !almostEqual(got, 0.28, eps) {
+	if got := s.SubsetLoss(Correlation{}, 2, maskIndices(0b11)); !almostEqual(got, 0.28, eps) {
 		t.Errorf("SubsetLoss(2, both) = %v, want 0.28", got)
 	}
 }
@@ -146,12 +147,12 @@ func TestSubsetDelayLossless(t *testing.T) {
 	}
 	// With no loss, d(k, M) is the k-th smallest delay.
 	for k, want := range map[int]float64{1: 2, 2: 9, 3: 10} {
-		if got := s.SubsetDelay(k, 0b111); !almostEqual(got, want, eps) {
+		if got := s.SubsetDelay(k, maskIndices(0b111)); !almostEqual(got, want, eps) {
 			t.Errorf("SubsetDelay(%d) = %v, want %v", k, got, want)
 		}
 	}
 	// Subset {1, 2}: delays 9, 10.
-	if got := s.SubsetDelay(1, 0b110); !almostEqual(got, 9, eps) {
+	if got := s.SubsetDelay(1, maskIndices(0b110)); !almostEqual(got, 9, eps) {
 		t.Errorf("SubsetDelay(1, {1,2}) = %v, want 9", got)
 	}
 }
@@ -195,11 +196,11 @@ func TestSubsetDelayWithLoss(t *testing.T) {
 	// Delivered sets: {0,1} p=.25 -> delay 1; {0} p=.25 -> 1; {1} p=.25 -> 3.
 	// Conditional on delivery (p=.75): (0.25*1 + 0.25*1 + 0.25*3)/0.75 = 5/3.
 	want := 5.0 / 3.0
-	if got := s.SubsetDelay(1, 0b11); !almostEqual(got, want, eps) {
+	if got := s.SubsetDelay(1, maskIndices(0b11)); !almostEqual(got, want, eps) {
 		t.Errorf("SubsetDelay(1) = %v, want %v", got, want)
 	}
 	// k=2 requires both shares: delay 3 whenever delivered.
-	if got := s.SubsetDelay(2, 0b11); !almostEqual(got, 3, eps) {
+	if got := s.SubsetDelay(2, maskIndices(0b11)); !almostEqual(got, 3, eps) {
 		t.Errorf("SubsetDelay(2) = %v, want 3", got)
 	}
 }
@@ -215,7 +216,7 @@ func TestSubsetDelayCollapsesWithoutLoss(t *testing.T) {
 		mask := s.FullMask()
 		for k := 1; k <= n; k++ {
 			want := kthSmallestDelay(s, k)
-			if got := s.SubsetDelay(k, mask); !almostEqual(got, want, eps) {
+			if got := s.SubsetDelay(k, maskIndices(mask)); !almostEqual(got, want, eps) {
 				t.Fatalf("n=%d k=%d: delay %v, want %v", n, k, got, want)
 			}
 		}
@@ -237,11 +238,11 @@ func kthSmallestDelay(s Set, k int) float64 {
 func TestSubsetPanicsOnBadParams(t *testing.T) {
 	s := diverseSet()
 	for name, fn := range map[string]func(){
-		"risk k=0":        func() { s.SubsetRisk(0, 0b1) },
-		"risk k>m":        func() { s.SubsetRisk(2, 0b1) },
-		"loss k=0":        func() { s.SubsetLoss(0, 0b1) },
-		"delay k>m":       func() { s.SubsetDelay(3, 0b11) },
-		"mask beyond set": func() { s.SubsetRisk(1, 1<<7) },
+		"risk k=0":        func() { s.SubsetRisk(Correlation{}, 0, maskIndices(0b1)) },
+		"risk k>m":        func() { s.SubsetRisk(Correlation{}, 2, maskIndices(0b1)) },
+		"loss k=0":        func() { s.SubsetLoss(Correlation{}, 0, maskIndices(0b1)) },
+		"delay k>m":       func() { s.SubsetDelay(3, maskIndices(0b11)) },
+		"mask beyond set": func() { s.SubsetRisk(Correlation{}, 1, maskIndices(1<<7)) },
 	} {
 		func() {
 			defer func() {
@@ -267,10 +268,10 @@ func TestExtremalPrivacyLossDelay(t *testing.T) {
 		t.Errorf("MinLoss = %v", got)
 	}
 	// The extremal schedules evaluate to the closed forms.
-	if got := s.MaxPrivacySchedule().Risk(s); !almostEqual(got, s.MaxPrivacyRisk(), eps) {
+	if got := s.MaxPrivacySchedule().Risk(s, Correlation{}); !almostEqual(got, s.MaxPrivacyRisk(), eps) {
 		t.Errorf("MaxPrivacySchedule risk = %v, want %v", got, s.MaxPrivacyRisk())
 	}
-	if got := s.MinLossSchedule().Loss(s); !almostEqual(got, s.MinLoss(), eps) {
+	if got := s.MinLossSchedule().Loss(s, Correlation{}); !almostEqual(got, s.MinLoss(), eps) {
 		t.Errorf("MinLossSchedule loss = %v, want %v", got, s.MinLoss())
 	}
 	if got := s.MinDelaySchedule().Delay(s); !almostEqual(got, s.MinDelay(), eps) {
@@ -601,6 +602,10 @@ func TestScheduleSumsBitIdentical(t *testing.T) {
 		{Risk: 0.29, Loss: 0.031, Delay: 17 * time.Millisecond, Rate: 67},
 		{Risk: 0.083, Loss: 0.0013, Delay: 2 * time.Millisecond, Rate: 101},
 	}
+	corr := Correlation{Groups: []RiskGroup{
+		{Mask: 0b00011, RiskRho: 0.7, LossRho: 0.4},
+		{Mask: 0b11000, RiskRho: 0.9, LossRho: 0.6},
+	}}
 	all := EnumerateAssignments(len(s))
 	rng := rand.New(rand.NewSource(5))
 	probs := make([]float64, len(all))
@@ -616,18 +621,25 @@ func TestScheduleSumsBitIdentical(t *testing.T) {
 	for i := len(all) - 1; i >= 0; i-- {
 		backward[all[i]] = probs[i] / total
 	}
-	sums := func(p Schedule) [5]uint64 {
-		return [5]uint64{
+	sums := func(p Schedule) []uint64 {
+		out := []uint64{
 			math.Float64bits(p.Kappa()), math.Float64bits(p.Mu()),
-			math.Float64bits(p.Risk(s)), math.Float64bits(p.Loss(s)),
+			math.Float64bits(p.Risk(s, Correlation{})), math.Float64bits(p.Loss(s, Correlation{})),
 			math.Float64bits(p.Delay(s)),
+			math.Float64bits(p.Risk(s, corr)), math.Float64bits(p.Loss(s, corr)),
+			math.Float64bits(p.GroupExposure(s, corr, 0)), math.Float64bits(p.GroupExposure(s, corr, 1)),
 		}
+		for _, u := range p.ChannelUsage(len(s)) {
+			out = append(out, math.Float64bits(u))
+		}
+		return out
 	}
 	want := sums(forward)
-	for i := 0; i < 50; i++ {
+	for i := 0; i < 200; i++ {
 		for _, p := range []Schedule{forward, backward} {
-			if got := sums(p); got != want {
-				t.Fatalf("run %d: sums %x, want %x (Kappa, Mu, Risk, Loss, Delay bits)", i, got, want)
+			if got := sums(p); !slices.Equal(got, want) {
+				t.Fatalf("run %d: sums %x, want %x (Kappa, Mu, Risk, Loss, Delay, correlated Risk, Loss, "+
+					"GroupExposure 0, 1, ChannelUsage bits)", i, got, want)
 			}
 		}
 	}
@@ -703,6 +715,6 @@ func BenchmarkSubsetDelay5(b *testing.B) {
 		{Loss: 0.03, Delay: 500 * time.Microsecond, Rate: 100},
 	}
 	for i := 0; i < b.N; i++ {
-		s.SubsetDelay(3, s.FullMask())
+		s.SubsetDelay(3, maskIndices(s.FullMask()))
 	}
 }

@@ -4,23 +4,20 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
-
-	"remicss/internal/stats"
 )
 
 // The paper's subset risk and loss formulas (Section IV-A) treat channels as
 // independent Bernoulli trials, which is exact for physically disjoint paths
 // but understates exposure whenever several "disjoint" channels ride one
-// conduit — a shared fiber segment, cell tower, or transit AS. This file
-// extends the model with shared-risk groups under a common-cause (one-factor)
+// conduit — a shared fiber segment, cell tower, or transit AS. The types
+// below extend the model with shared-risk groups under a common-cause (one-factor)
 // construction: each group g carries a latent shock event; when the shock
 // fires, every channel in the group is simultaneously eavesdropped (risk
 // shock) or blacked out (loss shock), and the per-channel residual
 // probabilities are chosen so each channel's *marginal* risk and loss stay
 // exactly the z_i and l_i of the independent model. The correlation factor
 // rho in [0, 1] interpolates continuously from independence (rho = 0, where
-// every formula reduces bit-exactly to the Poisson-binomial forms) to the
+// every formula is bit-exactly the Poisson-binomial form) to the
 // maximal common-cause coupling the marginals admit (rho = 1, shock
 // probability min over the group). The construction follows the
 // correlated-random-variable secret-sharing line of Chou (arXiv:2110.10307):
@@ -89,18 +86,6 @@ func (c Correlation) Validate(n int) error {
 	return nil
 }
 
-// Independent reports whether the model carries no correlation at all:
-// no groups, or every factor zero. In that state every correlated formula
-// reduces bit-exactly to its independent counterpart.
-func (c Correlation) Independent() bool {
-	for _, g := range c.Groups {
-		if g.RiskRho != 0 || g.LossRho != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Project restricts the model to the channels in members (ascending
 // full-set indices), remapping each group's mask into the subset's local
 // index space — the form a failover re-solve over surviving channels needs.
@@ -133,349 +118,4 @@ func (c Correlation) GroupOf(ch int) int {
 		}
 	}
 	return -1
-}
-
-// shockProb returns the common-cause event probability for one group under
-// the marginal probabilities marg: rho times the smallest member value. The
-// minimum keeps every residual probability in [0, 1], so the construction
-// preserves marginals for any rho in [0, 1].
-func shockProb(g RiskGroup, rho float64, marg []float64) float64 {
-	if rho == 0 {
-		return 0
-	}
-	min := math.Inf(1)
-	for _, i := range maskIndices(g.Mask) {
-		if marg[i] < min {
-			min = marg[i]
-		}
-	}
-	return rho * min
-}
-
-// residualProb returns the channel probability conditioned on the group
-// shock not firing: solving q + (1-q)·p' = p for p'. A shock probability at
-// (or within rounding of) 1 leaves no residual mass.
-func residualProb(p, q float64) float64 {
-	if q >= 1-1e-12 {
-		return 0
-	}
-	r := (p - q) / (1 - q)
-	if r < 0 {
-		return 0
-	}
-	if r > 1 {
-		return 1
-	}
-	return r
-}
-
-// correlatedTail computes an upper-tail probability P(X >= k) over the
-// channels in mask, where X counts successes under the common-cause mixture:
-// marg are the marginal per-channel success probabilities, rhoOf selects each
-// group's correlation factor. It conditions on every subset of shocked
-// groups intersecting the mask; within each branch the surviving trials are
-// independent with residual probabilities, so the branch tail is the plain
-// Poisson binomial. With every factor zero only the no-shock branch carries
-// mass and the computation is bit-identical to stats.TailAtLeast over marg.
-func (c Correlation) correlatedTail(marg []float64, k int, mask uint32, rhoOf func(RiskGroup) float64) float64 {
-	// Groups that intersect the mask, with their shock probabilities.
-	type liveGroup struct {
-		inMask uint32 // member channels inside the mask
-		q      float64
-	}
-	var live []liveGroup
-	grouped := uint32(0) // mask channels covered by some live group
-	for _, g := range c.Groups {
-		in := g.Mask & mask
-		if in == 0 {
-			continue
-		}
-		live = append(live, liveGroup{inMask: in, q: shockProb(g, rhoOf(g), marg)})
-		grouped |= in
-	}
-
-	// Residual probabilities for every mask channel, in mask-local order,
-	// alongside each channel's live-group index (-1 for ungrouped).
-	idx := maskIndices(mask)
-	base := make([]float64, len(idx))
-	groupOf := make([]int, len(idx))
-	for j, ch := range idx {
-		base[j] = marg[ch]
-		groupOf[j] = -1
-		for gi, lg := range live {
-			if lg.inMask&(1<<uint(ch)) != 0 {
-				groupOf[j] = gi
-				base[j] = residualProb(marg[ch], lg.q)
-				break
-			}
-		}
-	}
-
-	// Mix over the 2^|live| shock patterns. Zero-probability branches are
-	// skipped, so the rho = 0 path evaluates exactly one branch with the
-	// unmodified marginals.
-	var sum float64
-	probs := make([]float64, 0, len(idx))
-	for pattern := uint32(0); pattern < 1<<uint(len(live)); pattern++ {
-		w := 1.0
-		for gi, lg := range live {
-			if pattern&(1<<uint(gi)) != 0 {
-				w *= lg.q
-			} else {
-				w *= 1 - lg.q
-			}
-		}
-		if w == 0 {
-			continue
-		}
-		// Shocked channels succeed surely; the rest keep their residuals.
-		sure := 0
-		probs = probs[:0]
-		for j := range idx {
-			if gi := groupOf[j]; gi >= 0 && pattern&(1<<uint(gi)) != 0 {
-				sure++
-				continue
-			}
-			probs = append(probs, base[j])
-		}
-		sum += w * stats.TailAtLeast(probs, k-sure)
-	}
-	if sum < 0 {
-		return 0
-	}
-	if sum > 1 {
-		return 1
-	}
-	return sum
-}
-
-// CorrelatedSubsetRisk computes the correlated z(k, M): the probability that
-// an adversary whose taps are coupled through the model's shared-risk groups
-// observes at least k of the shares sent over the channels in mask. With an
-// all-zero model this is bit-identical to SubsetRisk; with positive factors
-// it is never smaller, because the common cause moves probability mass onto
-// the all-members-observed outcomes the threshold scheme is weakest against.
-func (s Set) CorrelatedSubsetRisk(corr Correlation, k int, mask uint32) float64 {
-	probs := s.maskValues(mask, s.Risks()) // validates the mask against the set
-	checkSubsetParams(k, len(probs))
-	return corr.correlatedTail(s.Risks(), k, mask, func(g RiskGroup) float64 { return g.RiskRho })
-}
-
-// CorrelatedSubsetLoss computes the correlated l(k, M): the probability that
-// fewer than k shares arrive when outages are coupled through the model's
-// shared-risk groups (a conduit cut takes every member channel down at
-// once). With an all-zero model this is bit-identical to SubsetLoss.
-func (s Set) CorrelatedSubsetLoss(corr Correlation, k int, mask uint32) float64 {
-	deliver := s.maskValues(mask, invertProbs(s.Losses()))
-	checkSubsetParams(k, len(deliver))
-	// Mix over loss shocks: a shocked group delivers nothing, so delivery
-	// tails condition on "sure failures" rather than sure successes. Reuse
-	// the success-side machinery by counting deliveries with shocked
-	// channels forced to zero.
-	return corr.correlatedLossTail(s.Losses(), k, mask)
-}
-
-// correlatedLossTail computes P(fewer than k deliveries) under loss shocks:
-// a shocked group's channels deliver with probability zero, unshocked
-// channels deliver with residual probability (1-l_i')/(the marginal-
-// preserving residual of the loss side).
-func (c Correlation) correlatedLossTail(losses []float64, k int, mask uint32) float64 {
-	type liveGroup struct {
-		inMask uint32
-		q      float64
-	}
-	var live []liveGroup
-	for _, g := range c.Groups {
-		in := g.Mask & mask
-		if in == 0 {
-			continue
-		}
-		live = append(live, liveGroup{inMask: in, q: shockProb(g, g.LossRho, losses)})
-	}
-
-	idx := maskIndices(mask)
-	deliver := make([]float64, len(idx))
-	groupOf := make([]int, len(idx))
-	for j, ch := range idx {
-		deliver[j] = 1 - losses[ch]
-		groupOf[j] = -1
-		for gi, lg := range live {
-			if lg.inMask&(1<<uint(ch)) != 0 {
-				groupOf[j] = gi
-				deliver[j] = 1 - residualProb(losses[ch], lg.q)
-				break
-			}
-		}
-	}
-
-	var sum float64
-	probs := make([]float64, 0, len(idx))
-	for pattern := uint32(0); pattern < 1<<uint(len(live)); pattern++ {
-		w := 1.0
-		for gi, lg := range live {
-			if pattern&(1<<uint(gi)) != 0 {
-				w *= lg.q
-			} else {
-				w *= 1 - lg.q
-			}
-		}
-		if w == 0 {
-			continue
-		}
-		probs = probs[:0]
-		for j := range idx {
-			if gi := groupOf[j]; gi >= 0 && pattern&(1<<uint(gi)) != 0 {
-				continue // shocked: the share is lost with certainty
-			}
-			probs = append(probs, deliver[j])
-		}
-		sum += w * stats.TailLess(probs, k)
-	}
-	if sum < 0 {
-		return 0
-	}
-	if sum > 1 {
-		return 1
-	}
-	return sum
-}
-
-// CorrelatedObservedPMF returns the probability mass function of the number
-// of shares an adversary observes out of a symbol sent over the channels in
-// mask, under the correlated model: out[c] is the probability that exactly c
-// shares are observed. This is the mixture, over common-cause shock
-// patterns, of shifted Poisson binomials; the leakage meter consumes it to
-// bound adversary advantage. With an all-zero model it equals the
-// independent Poisson-binomial pmf.
-func (s Set) CorrelatedObservedPMF(corr Correlation, mask uint32) []float64 {
-	probs := s.maskValues(mask, s.Risks())
-	m := len(probs)
-
-	type liveGroup struct {
-		inMask uint32
-		q      float64
-	}
-	var live []liveGroup
-	marg := s.Risks()
-	for _, g := range corr.Groups {
-		in := g.Mask & mask
-		if in == 0 {
-			continue
-		}
-		live = append(live, liveGroup{inMask: in, q: shockProb(g, g.RiskRho, marg)})
-	}
-
-	idx := maskIndices(mask)
-	base := make([]float64, len(idx))
-	groupOf := make([]int, len(idx))
-	for j, ch := range idx {
-		base[j] = marg[ch]
-		groupOf[j] = -1
-		for gi, lg := range live {
-			if lg.inMask&(1<<uint(ch)) != 0 {
-				groupOf[j] = gi
-				base[j] = residualProb(marg[ch], lg.q)
-				break
-			}
-		}
-	}
-
-	out := make([]float64, m+1)
-	branch := make([]float64, 0, m)
-	for pattern := uint32(0); pattern < 1<<uint(len(live)); pattern++ {
-		w := 1.0
-		for gi, lg := range live {
-			if pattern&(1<<uint(gi)) != 0 {
-				w *= lg.q
-			} else {
-				w *= 1 - lg.q
-			}
-		}
-		if w == 0 {
-			continue
-		}
-		sure := 0
-		branch = branch[:0]
-		for j := range idx {
-			if gi := groupOf[j]; gi >= 0 && pattern&(1<<uint(gi)) != 0 {
-				sure++
-				continue
-			}
-			branch = append(branch, base[j])
-		}
-		pmf := stats.Distribution(branch)
-		for c, p := range pmf {
-			out[c+sure] += w * p
-		}
-	}
-	return out
-}
-
-// GroupExposure returns the part of the correlated subset risk attributable
-// to one group's common cause: the probability that group g's shock fires
-// AND the adversary then observes at least k shares of a symbol sent over
-// mask. It is linear in the schedule probabilities, which is what lets the
-// schedule LP bound it with one constraint row per group (see
-// internal/schedule).
-func (s Set) GroupExposure(corr Correlation, g int, k int, mask uint32) float64 {
-	probs := s.maskValues(mask, s.Risks())
-	checkSubsetParams(k, len(probs))
-	if g < 0 || g >= len(corr.Groups) {
-		panic(fmt.Sprintf("core: group index %d outside [0, %d)", g, len(corr.Groups)))
-	}
-	grp := corr.Groups[g]
-	q := shockProb(grp, grp.RiskRho, s.Risks())
-	if q == 0 {
-		return 0
-	}
-	in := grp.Mask & mask
-	sure := bits.OnesCount32(in)
-	// Conditioned on the shock, the group's in-mask members are observed
-	// surely; every other mask channel keeps its marginal (other groups'
-	// shocks are independent of this one and only increase the tail, so
-	// using marginals keeps the row a lower bound on the attribution while
-	// staying linear — the full mixture is bounded by the total correlated
-	// risk, which tests cross-check).
-	rest := make([]float64, 0, bits.OnesCount32(mask))
-	for _, ch := range maskIndices(mask &^ in) {
-		rest = append(rest, s.Risks()[ch])
-	}
-	return q * stats.TailAtLeast(rest, k-sure)
-}
-
-// GroupExposure returns the schedule's common-cause exposure attributable
-// to shared-risk group g: Σ p(k,M) · e_g(k,M). This is the quantity the
-// schedule LP's per-group rows bound.
-func (p Schedule) GroupExposure(s Set, corr Correlation, g int) float64 {
-	var sum float64
-	for a, prob := range p {
-		if prob > 0 {
-			sum += prob * s.GroupExposure(corr, g, a.K, a.Mask)
-		}
-	}
-	return sum
-}
-
-// CorrelatedRisk returns the schedule risk Z(p) under the correlated model:
-// Σ p(k,M) · z_corr(k,M). Reduces to Risk when the model is independent.
-func (p Schedule) CorrelatedRisk(s Set, corr Correlation) float64 {
-	var sum float64
-	for a, prob := range p {
-		if prob > 0 {
-			sum += prob * s.CorrelatedSubsetRisk(corr, a.K, a.Mask)
-		}
-	}
-	return sum
-}
-
-// CorrelatedLoss returns the schedule loss L(p) under the correlated model:
-// Σ p(k,M) · l_corr(k,M). Reduces to Loss when the model is independent.
-func (p Schedule) CorrelatedLoss(s Set, corr Correlation) float64 {
-	var sum float64
-	for a, prob := range p {
-		if prob > 0 {
-			sum += prob * s.CorrelatedSubsetLoss(corr, a.K, a.Mask)
-		}
-	}
-	return sum
 }

@@ -16,9 +16,10 @@ func corrTestSet() Set {
 	}
 }
 
-// The acceptance criterion: with every correlation factor at zero the
-// correlated formulas must reproduce the paper's independent Poisson-binomial
-// values bit-exactly, for every (k, mask) pair — not merely within epsilon.
+// The acceptance criterion: with every correlation factor at zero the model
+// kernel must reproduce the paper's independent Poisson-binomial values
+// (the mask oracles) bit-exactly, for every (k, mask) pair — not merely
+// within epsilon.
 func TestCorrelatedReducesToIndependentBitExact(t *testing.T) {
 	set := corrTestSet()
 	models := []Correlation{
@@ -27,20 +28,17 @@ func TestCorrelatedReducesToIndependentBitExact(t *testing.T) {
 		{Groups: []RiskGroup{{Mask: 0b011}, {Mask: 0b100}}},
 	}
 	for mi, corr := range models {
-		if !corr.Independent() {
-			t.Fatalf("model %d: Independent() = false for all-zero factors", mi)
-		}
 		for mask := uint32(1); mask < 1<<uint(len(set)); mask++ {
 			m := len(maskIndices(mask))
 			for k := 1; k <= m; k++ {
-				indRisk := set.SubsetRisk(k, mask)
-				corrRisk := set.CorrelatedSubsetRisk(corr, k, mask)
+				indRisk := maskRisk(set, k, mask)
+				corrRisk := set.SubsetRisk(corr, k, maskIndices(mask))
 				if corrRisk != indRisk {
 					t.Errorf("model %d risk(k=%d, mask=%b): correlated %v != independent %v",
 						mi, k, mask, corrRisk, indRisk)
 				}
-				indLoss := set.SubsetLoss(k, mask)
-				corrLoss := set.CorrelatedSubsetLoss(corr, k, mask)
+				indLoss := maskLoss(set, k, mask)
+				corrLoss := set.SubsetLoss(corr, k, maskIndices(mask))
 				if corrLoss != indLoss {
 					t.Errorf("model %d loss(k=%d, mask=%b): correlated %v != independent %v",
 						mi, k, mask, corrLoss, indLoss)
@@ -59,11 +57,11 @@ func TestCorrelatedPreservesMarginals(t *testing.T) {
 		corr := Correlation{Groups: []RiskGroup{{Mask: 0b011, RiskRho: rho, LossRho: rho}}}
 		for i := range set {
 			mask := uint32(1) << uint(i)
-			gotRisk := set.CorrelatedSubsetRisk(corr, 1, mask)
+			gotRisk := set.SubsetRisk(corr, 1, maskIndices(mask))
 			if math.Abs(gotRisk-set[i].Risk) > 1e-12 {
 				t.Errorf("rho=%v channel %d: marginal risk %v, want %v", rho, i, gotRisk, set[i].Risk)
 			}
-			gotLoss := set.CorrelatedSubsetLoss(corr, 1, mask)
+			gotLoss := set.SubsetLoss(corr, 1, maskIndices(mask))
 			if math.Abs(gotLoss-set[i].Loss) > 1e-12 {
 				t.Errorf("rho=%v channel %d: marginal loss %v, want %v", rho, i, gotLoss, set[i].Loss)
 			}
@@ -78,14 +76,14 @@ func TestCorrelatedRiskMonotoneInRho(t *testing.T) {
 	prev := -1.0
 	for _, rho := range []float64{0, 0.2, 0.4, 0.6, 0.8, 1} {
 		corr := Correlation{Groups: []RiskGroup{{Mask: 0b011, RiskRho: rho}}}
-		z := set.CorrelatedSubsetRisk(corr, 2, 0b111)
+		z := set.SubsetRisk(corr, 2, maskIndices(0b111))
 		if z < prev-1e-15 {
 			t.Fatalf("rho=%v: risk %v decreased from %v", rho, z, prev)
 		}
 		prev = z
 	}
 	// And strictly higher at the top than at independence.
-	ind := set.SubsetRisk(2, 0b111)
+	ind := set.SubsetRisk(Correlation{}, 2, maskIndices(0b111))
 	if prev <= ind {
 		t.Fatalf("rho=1 risk %v not strictly above independent %v", prev, ind)
 	}
@@ -103,7 +101,7 @@ func TestCorrelatedWorkedExample(t *testing.T) {
 	corr := Correlation{Groups: []RiskGroup{{Mask: 0b011, RiskRho: 0.8}}}
 
 	// Independent: P(X >= 2) over three 0.1 trials = 3·0.1²·0.9 + 0.1³ = 0.028.
-	ind := set.SubsetRisk(2, 0b111)
+	ind := set.SubsetRisk(Correlation{}, 2, maskIndices(0b111))
 	if math.Abs(ind-0.028) > 1e-12 {
 		t.Fatalf("independent z(2,111) = %v, want 0.028", ind)
 	}
@@ -114,7 +112,7 @@ func TestCorrelatedWorkedExample(t *testing.T) {
 	zp := 0.02 / 0.92
 	noShock := zp*zp*(1-0.1) + 2*zp*(1-zp)*0.1 + zp*zp*0.1
 	want := 0.08*1 + 0.92*noShock
-	got := set.CorrelatedSubsetRisk(corr, 2, 0b111)
+	got := set.SubsetRisk(corr, 2, maskIndices(0b111))
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("correlated z(2,111) = %v, want %v", got, want)
 	}
@@ -135,8 +133,8 @@ func TestCorrelatedRiskAgainstOracle(t *testing.T) {
 	for mask := uint32(1); mask < 1<<uint(len(set)); mask++ {
 		m := len(maskIndices(mask))
 		for k := 1; k <= m; k++ {
-			want := oracleCorrelatedTail(corr, risks, k, mask)
-			got := set.CorrelatedSubsetRisk(corr, k, mask)
+			want := oracleCorrelatedTail(set, corr, risks, k, mask)
+			got := set.SubsetRisk(corr, k, maskIndices(mask))
 			if math.Abs(got-want) > 1e-12 {
 				t.Errorf("risk(k=%d, mask=%b) = %v, oracle %v", k, mask, got, want)
 			}
@@ -146,7 +144,7 @@ func TestCorrelatedRiskAgainstOracle(t *testing.T) {
 
 // oracleCorrelatedTail enumerates every shock pattern and, per branch, every
 // subset of independently-observed channels.
-func oracleCorrelatedTail(corr Correlation, marg []float64, k int, mask uint32) float64 {
+func oracleCorrelatedTail(set Set, corr Correlation, marg []float64, k int, mask uint32) float64 {
 	idx := maskIndices(mask)
 	var live []RiskGroup
 	var qs []float64
@@ -155,7 +153,7 @@ func oracleCorrelatedTail(corr Correlation, marg []float64, k int, mask uint32) 
 			continue
 		}
 		live = append(live, g)
-		qs = append(qs, shockProb(g, g.RiskRho, marg))
+		qs = append(qs, set.shockProb(g.Mask, g.RiskRho, false))
 	}
 	var total float64
 	for pattern := uint32(0); pattern < 1<<uint(len(live)); pattern++ {
@@ -206,15 +204,15 @@ func TestGroupExposureBounds(t *testing.T) {
 	for mask := uint32(1); mask < 1<<uint(len(set)); mask++ {
 		m := len(maskIndices(mask))
 		for k := 1; k <= m; k++ {
-			exp := set.GroupExposure(corr, 0, k, mask)
-			total := set.CorrelatedSubsetRisk(corr, k, mask)
+			exp := set.GroupExposure(corr, 0, k, maskIndices(mask))
+			total := set.SubsetRisk(corr, k, maskIndices(mask))
 			if exp < 0 || exp > total+1e-12 {
 				t.Errorf("group exposure(k=%d, mask=%b) = %v outside [0, %v]", k, mask, exp, total)
 			}
 		}
 	}
 	zero := Correlation{Groups: []RiskGroup{{Mask: 0b011, RiskRho: 0}}}
-	if e := set.GroupExposure(zero, 0, 2, 0b111); e != 0 {
+	if e := set.GroupExposure(zero, 0, 2, maskIndices(0b111)); e != 0 {
 		t.Fatalf("zero-rho group exposure = %v, want 0", e)
 	}
 }
@@ -262,17 +260,17 @@ func TestCorrelatedScheduleAggregates(t *testing.T) {
 		{K: 2, Mask: 0b011}: 0.4,
 	}
 	zero := Correlation{Groups: []RiskGroup{{Mask: 0b011}}}
-	if got, want := sched.CorrelatedRisk(set, zero), sched.Risk(set); got != want {
+	if got, want := sched.Risk(set, zero), sched.Risk(set, Correlation{}); got != want {
 		t.Fatalf("zero-rho schedule risk %v != independent %v", got, want)
 	}
-	if got, want := sched.CorrelatedLoss(set, zero), sched.Loss(set); got != want {
+	if got, want := sched.Loss(set, zero), sched.Loss(set, Correlation{}); got != want {
 		t.Fatalf("zero-rho schedule loss %v != independent %v", got, want)
 	}
 	corr := Correlation{Groups: []RiskGroup{{Mask: 0b011, RiskRho: 0.8, LossRho: 0.8}}}
-	if got, ind := sched.CorrelatedRisk(set, corr), sched.Risk(set); got <= ind {
+	if got, ind := sched.Risk(set, corr), sched.Risk(set, Correlation{}); got <= ind {
 		t.Fatalf("correlated schedule risk %v not above independent %v", got, ind)
 	}
-	if got, ind := sched.CorrelatedLoss(set, corr), sched.Loss(set); got <= ind {
+	if got, ind := sched.Loss(set, corr), sched.Loss(set, Correlation{}); got <= ind {
 		t.Fatalf("correlated schedule loss %v not above independent %v", got, ind)
 	}
 }

@@ -3,29 +3,28 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
 	"sort"
 
 	"remicss/internal/stats"
 )
 
-// WideAssignment is an assignment for channel sets too large for uint32
-// subset masks: a threshold k together with an explicit, ascending list of
-// member channel indices. It is the wide-set analogue of Assignment, used
-// by the sampled/pruned generation path that scales to hundreds of
-// channels.
-type WideAssignment struct {
+// Choice is one element of a program's choice set M-cal: a threshold k
+// together with an explicit, ascending list of member channel indices.
+// Unlike the bitmask Assignment it is not capped at 32 channels, so one
+// program builder serves exhaustively enumerated small sets and generated
+// candidates over hundreds of channels alike.
+type Choice struct {
 	K       int
 	Members []int
 }
 
 // M returns the multiplicity |M|.
-func (a WideAssignment) M() int { return len(a.Members) }
+func (a Choice) M() int { return len(a.Members) }
 
 // Valid reports whether 1 <= k <= |M| and the members are strictly
 // ascending indices within an n-channel set.
-func (a WideAssignment) Valid(n int) bool {
+func (a Choice) Valid(n int) bool {
 	if len(a.Members) == 0 || a.K < 1 || a.K > len(a.Members) {
 		return false
 	}
@@ -39,142 +38,35 @@ func (a WideAssignment) Valid(n int) bool {
 	return true
 }
 
-// Mask converts the member list to a subset bitmask. The second return is
-// false when any member index is outside uint32 mask range.
-func (a WideAssignment) Mask() (uint32, bool) {
-	var mask uint32
-	for _, i := range a.Members {
-		if i < 0 || i >= 32 {
-			return 0, false
-		}
-		mask |= 1 << uint(i)
-	}
-	return mask, true
-}
-
-// String renders the assignment for diagnostics, e.g. "(2, {0,2,4})".
-func (a WideAssignment) String() string {
+// String renders the choice for diagnostics, e.g. "(2, [0 2 4])".
+func (a Choice) String() string {
 	return fmt.Sprintf("(%d, %v)", a.K, a.Members)
 }
 
-// MembersRisk is SubsetRisk over an explicit member list, usable for sets
-// beyond mask range. Panics on out-of-range members or threshold, like the
-// mask form.
-func (s Set) MembersRisk(k int, members []int) float64 {
-	probs := s.memberValues(members, s.Risks())
-	checkSubsetParams(k, len(probs))
-	return stats.TailAtLeast(probs, k)
-}
-
-// MembersLoss is SubsetLoss over an explicit member list.
-func (s Set) MembersLoss(k int, members []int) float64 {
-	deliver := s.memberValues(members, invertProbs(s.Losses()))
-	checkSubsetParams(k, len(deliver))
-	return stats.TailLess(deliver, k)
-}
-
-// MembersDelay is SubsetDelay over an explicit member list. The cost is
-// exponential in |members| (it enumerates delivery patterns), so callers
-// must keep multiplicities small even when the set is large.
-func (s Set) MembersDelay(k int, members []int) float64 {
-	m := len(members)
-	checkSubsetParams(k, m)
-
-	delays := make([]float64, m)
-	losses := make([]float64, m)
-	for j, i := range members {
-		if i < 0 || i >= len(s) {
-			panic(fmt.Sprintf("core: member %d outside set of %d", i, len(s)))
-		}
-		delays[j] = s[i].Delay.Seconds()
-		losses[j] = s[i].Loss
-	}
-
-	var weighted, pDeliver float64
-	full := uint32(1)<<uint(m) - 1
-	for sub := full; ; sub = (sub - 1) & full {
-		if bits.OnesCount32(sub) >= k {
-			p := 1.0
-			for j := 0; j < m; j++ {
-				if sub&(1<<uint(j)) != 0 {
-					p *= 1 - losses[j]
-				} else {
-					p *= losses[j]
-				}
-			}
-			if p > 0 {
-				weighted += stats.KthSmallest(delays, sub, k) * p
-				pDeliver += p
-			}
-		}
-		if sub == 0 {
-			break
-		}
-	}
-	if pDeliver <= 0 {
-		panic("core: subset delay undefined: certain loss")
-	}
-	return weighted / pDeliver
-}
-
-// memberValues extracts values[i] for each member index, panicking on
-// out-of-range indices.
-func (s Set) memberValues(members []int, values []float64) []float64 {
-	out := make([]float64, len(members))
-	for j, i := range members {
-		if i < 0 || i >= len(values) {
-			panic(fmt.Sprintf("core: member %d outside set of %d", i, len(s)))
-		}
-		out[j] = values[i]
-	}
-	return out
-}
-
-// GenConfig tunes sampled/pruned assignment generation. The zero value
-// selects the documented defaults.
-type GenConfig struct {
-	// Spread widens the multiplicity window beyond [⌊µ⌋, ⌈µ⌉]: subsets of
-	// size m are generated for m within Spread of that interval (clamped to
-	// the valid range). Default 2.
-	Spread int
-	// Samples is the number of seeded-random member subsets drawn per
-	// multiplicity, on top of the deterministic greedy subsets. Default 32.
-	Samples int
-	// Seed seeds the sampling RNG; generation is fully deterministic for a
-	// fixed (set, kappa, mu, config). Default 1 (a zero seed is replaced).
-	Seed int64
-	// MaxMultiplicity caps |M| for generated assignments, bounding the
-	// exponential cost of delay evaluation. It never cuts below ⌈µ⌉, which
-	// feasibility requires. Default 22 (= stats.MaxEnumerationBits).
-	MaxMultiplicity int
-	// ExtendTo adds greedy-only subsets (no sampling, no pruning) for
-	// multiplicities above the sampled window, up to min(n, ExtendTo).
+// Candidate generation settings.
+const (
+	// genSpread widens the multiplicity window beyond [⌊µ⌋, ⌈µ⌉]: subsets
+	// of size m are generated for m within genSpread of that interval
+	// (clamped to the valid range).
+	genSpread = 2
+	// genSamples is the number of seeded-random member subsets drawn per
+	// multiplicity, on top of the deterministic greedy subsets.
+	genSamples = 32
+	// genSeed seeds the sampling RNG, so generation is deterministic for
+	// a fixed (set, kappa, mu, limited).
+	genSeed = 1
+	// genMaxMultiplicity caps |M|, bounding the exponential cost of delay
+	// evaluation. It never cuts below ⌈µ⌉, which feasibility requires.
+	genMaxMultiplicity = stats.MaxEnumerationBits
+	// genExtendTo adds greedy-only subsets (no sampling, no pruning) for
+	// multiplicities above the sampled window, up to min(n, genExtendTo).
 	// Larger subsets strictly reduce loss and delay at a fixed threshold,
 	// so without them the unlimited program can be badly approximated;
-	// greedy subsets capture that tail cheaply. Default 12.
-	ExtendTo int
-}
+	// greedy subsets capture that tail cheaply.
+	genExtendTo = 12
+)
 
-func (c GenConfig) withDefaults() GenConfig {
-	if c.Spread <= 0 {
-		c.Spread = 2
-	}
-	if c.Samples <= 0 {
-		c.Samples = 32
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.MaxMultiplicity <= 0 {
-		c.MaxMultiplicity = stats.MaxEnumerationBits
-	}
-	if c.ExtendTo <= 0 {
-		c.ExtendTo = 12
-	}
-	return c
-}
-
-// GenerateWideAssignments builds a candidate choice set for the Section
+// GenerateChoices builds a candidate choice set for the Section
 // IV-B/IV-D programs without enumerating all 2^n subsets, so it scales to
 // hundreds of channels. For each multiplicity m in a window around µ it
 // emits:
@@ -192,8 +84,7 @@ func (c GenConfig) withDefaults() GenConfig {
 // candidates is feasible whenever the exhaustive program is. The output is
 // deterministic and sorted (by k, then members lexicographically). See
 // DESIGN §11 for the approximation bound.
-func GenerateWideAssignments(s Set, kappa, mu float64, limited bool, cfg GenConfig) []WideAssignment {
-	cfg = cfg.withDefaults()
+func GenerateChoices(s Set, kappa, mu float64, limited bool) []Choice {
 	n := len(s)
 	if n == 0 {
 		return nil
@@ -205,24 +96,24 @@ func GenerateWideAssignments(s Set, kappa, mu float64, limited bool, cfg GenConf
 		kFloor = int(math.Floor(kappa))
 		mFloor = int(math.Floor(mu))
 	}
-	mLo := max(1, mFloor, int(math.Floor(mu))-cfg.Spread)
-	mHi := min(n, int(math.Ceil(mu))+cfg.Spread)
-	if lid := max(int(math.Ceil(mu)), cfg.MaxMultiplicity); mHi > lid {
+	mLo := max(1, mFloor, int(math.Floor(mu))-genSpread)
+	mHi := min(n, int(math.Ceil(mu))+genSpread)
+	if lid := max(int(math.Ceil(mu)), genMaxMultiplicity); mHi > lid {
 		mHi = lid
 	}
 	if mLo > mHi {
 		mLo = mHi
 	}
 
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	var out []WideAssignment
+	rng := rand.New(rand.NewSource(genSeed))
+	var out []Choice
 	for m := mLo; m <= mHi; m++ {
-		subsets := s.candidateSubsets(m, cfg.Samples, rng)
+		subsets := s.candidateSubsets(m, genSamples, rng)
 		kRep := clampInt(int(math.Round(kappa)), max(1, kFloor), m)
 		subsets = s.pruneDominated(subsets, kRep)
 		for _, members := range subsets {
 			for k := max(1, kFloor); k <= m; k++ {
-				out = append(out, WideAssignment{K: k, Members: members})
+				out = append(out, Choice{K: k, Members: members})
 			}
 		}
 	}
@@ -230,11 +121,11 @@ func GenerateWideAssignments(s Set, kappa, mu float64, limited bool, cfg GenConf
 	// Greedy-only tail: larger subsets strictly reduce loss and delay at a
 	// fixed threshold, so cover multiplicities above the sampled window
 	// with the cheap greedy subsets alone (no sampling, no pruning).
-	for m := mHi + 1; m <= min(n, cfg.ExtendTo); m++ {
+	for m := mHi + 1; m <= min(n, genExtendTo); m++ {
 		subsets := s.candidateSubsets(m, 0, rng)
 		for _, members := range subsets {
 			for k := max(1, kFloor); k <= m; k++ {
-				out = append(out, WideAssignment{K: k, Members: members})
+				out = append(out, Choice{K: k, Members: members})
 			}
 		}
 	}
@@ -245,22 +136,6 @@ func GenerateWideAssignments(s Set, kappa, mu float64, limited bool, cfg GenConf
 		}
 		return lessIntSlices(out[i].Members, out[j].Members)
 	})
-	return out
-}
-
-// GenerateAssignments is GenerateWideAssignments for mask-representable
-// sets (n <= 32): the same candidate generation, returned as bitmask
-// assignments compatible with Schedule. It panics beyond mask range.
-func GenerateAssignments(s Set, kappa, mu float64, limited bool, cfg GenConfig) []Assignment {
-	wide := GenerateWideAssignments(s, kappa, mu, limited, cfg)
-	out := make([]Assignment, len(wide))
-	for i, a := range wide {
-		mask, ok := a.Mask()
-		if !ok {
-			panic(fmt.Sprintf("core: set of %d channels exceeds mask range", len(s)))
-		}
-		out[i] = Assignment{K: a.K, Mask: mask}
-	}
 	return out
 }
 
@@ -361,9 +236,9 @@ func (s Set) pruneDominated(subsets [][]int, kRep int) [][]int {
 	metrics := make([]triple, len(subsets))
 	for i, members := range subsets {
 		metrics[i] = triple{
-			risk:  s.MembersRisk(kRep, members),
-			loss:  s.MembersLoss(kRep, members),
-			delay: s.MembersDelay(kRep, members),
+			risk:  s.SubsetRisk(Correlation{}, kRep, members),
+			loss:  s.SubsetLoss(Correlation{}, kRep, members),
+			delay: s.SubsetDelay(kRep, members),
 		}
 	}
 	var out [][]int

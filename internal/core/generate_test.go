@@ -21,53 +21,45 @@ func randomWideSet(rng *rand.Rand, n int) Set {
 	return s
 }
 
-// TestMembersMetricsMatchMaskMetrics: the members-based metrics are the
-// wide-set form of the mask-based ones; on mask-representable sets they
-// must agree exactly.
+// TestMembersMetricsMatchMaskMetrics: the member-list kernel under the zero
+// Correlation must agree exactly with the paper's mask formulas.
 func TestMembersMetricsMatchMaskMetrics(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	s := randomWideSet(rng, 8)
 	for mask := uint32(1); mask < 1<<8; mask++ {
 		idx := maskIndices(mask)
 		for k := 1; k <= len(idx); k++ {
-			if got, want := s.MembersRisk(k, idx), s.SubsetRisk(k, mask); got != want {
-				t.Fatalf("MembersRisk(%d, %v) = %g, SubsetRisk = %g", k, idx, got, want)
+			if got, want := s.SubsetRisk(Correlation{}, k, idx), maskRisk(s, k, mask); got != want {
+				t.Fatalf("SubsetRisk(%d, %v) = %g, mask oracle %g", k, idx, got, want)
 			}
-			if got, want := s.MembersLoss(k, idx), s.SubsetLoss(k, mask); got != want {
-				t.Fatalf("MembersLoss(%d, %v) = %g, SubsetLoss = %g", k, idx, got, want)
+			if got, want := s.SubsetLoss(Correlation{}, k, idx), maskLoss(s, k, mask); got != want {
+				t.Fatalf("SubsetLoss(%d, %v) = %g, mask oracle %g", k, idx, got, want)
 			}
-			if got, want := s.MembersDelay(k, idx), s.SubsetDelay(k, mask); got != want {
-				t.Fatalf("MembersDelay(%d, %v) = %g, SubsetDelay = %g", k, idx, got, want)
+			if got, want := s.SubsetDelay(k, idx), maskDelay(s, k, mask); got != want {
+				t.Fatalf("SubsetDelay(%d, %v) = %g, mask oracle %g", k, idx, got, want)
 			}
 		}
 	}
 }
 
-func TestWideAssignmentValidAndMask(t *testing.T) {
+func TestChoiceValid(t *testing.T) {
 	cases := []struct {
-		a     WideAssignment
+		a     Choice
 		n     int
 		valid bool
 	}{
-		{WideAssignment{K: 1, Members: []int{0, 2, 4}}, 5, true},
-		{WideAssignment{K: 3, Members: []int{0, 2, 4}}, 5, true},
-		{WideAssignment{K: 4, Members: []int{0, 2, 4}}, 5, false}, // k > |M|
-		{WideAssignment{K: 1, Members: nil}, 5, false},            // empty
-		{WideAssignment{K: 1, Members: []int{2, 1}}, 5, false},    // not ascending
-		{WideAssignment{K: 1, Members: []int{1, 1}}, 5, false},    // duplicate
-		{WideAssignment{K: 1, Members: []int{0, 5}}, 5, false},    // out of range
+		{Choice{K: 1, Members: []int{0, 2, 4}}, 5, true},
+		{Choice{K: 3, Members: []int{0, 2, 4}}, 5, true},
+		{Choice{K: 4, Members: []int{0, 2, 4}}, 5, false}, // k > |M|
+		{Choice{K: 1, Members: nil}, 5, false},            // empty
+		{Choice{K: 1, Members: []int{2, 1}}, 5, false},    // not ascending
+		{Choice{K: 1, Members: []int{1, 1}}, 5, false},    // duplicate
+		{Choice{K: 1, Members: []int{0, 5}}, 5, false},    // out of range
 	}
 	for _, c := range cases {
 		if got := c.a.Valid(c.n); got != c.valid {
 			t.Errorf("%v.Valid(%d) = %v, want %v", c.a, c.n, got, c.valid)
 		}
-	}
-	mask, ok := WideAssignment{K: 1, Members: []int{0, 2, 4}}.Mask()
-	if !ok || mask != 0b10101 {
-		t.Fatalf("Mask() = %b, %v", mask, ok)
-	}
-	if _, ok := (WideAssignment{K: 1, Members: []int{40}}).Mask(); ok {
-		t.Fatal("Mask() accepted member beyond uint32 range")
 	}
 }
 
@@ -76,14 +68,10 @@ func TestWideAssignmentValidAndMask(t *testing.T) {
 func TestGenerateWideDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	s := randomWideSet(rng, 60)
-	a := GenerateWideAssignments(s, 2.4, 3.2, true, GenConfig{})
-	b := GenerateWideAssignments(s, 2.4, 3.2, true, GenConfig{})
+	a := GenerateChoices(s, 2.4, 3.2, true)
+	b := GenerateChoices(s, 2.4, 3.2, true)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("generation is not deterministic for equal inputs")
-	}
-	c := GenerateWideAssignments(s, 2.4, 3.2, true, GenConfig{Seed: 99})
-	if reflect.DeepEqual(a, c) {
-		t.Fatal("different seeds produced identical candidate sets (sampling inert?)")
 	}
 }
 
@@ -101,7 +89,7 @@ func TestGenerateWideCoversFeasibilityCorners(t *testing.T) {
 	} {
 		for _, limited := range []bool{false, true} {
 			got := map[[2]int]bool{}
-			for _, a := range GenerateWideAssignments(s, tc.kappa, tc.mu, limited, GenConfig{}) {
+			for _, a := range GenerateChoices(s, tc.kappa, tc.mu, limited) {
 				if !a.Valid(s.N()) {
 					t.Fatalf("invalid generated assignment %v", a)
 				}
@@ -127,7 +115,7 @@ func TestGenerateWideCoversFeasibilityCorners(t *testing.T) {
 func TestGenerateWideRespectsLimited(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	s := randomWideSet(rng, 25)
-	for _, a := range GenerateWideAssignments(s, 2.6, 3.4, true, GenConfig{}) {
+	for _, a := range GenerateChoices(s, 2.6, 3.4, true) {
 		if a.K < 2 || a.M() < 3 {
 			t.Fatalf("limited generation emitted %v (want k >= 2, |M| >= 3)", a)
 		}
@@ -144,7 +132,7 @@ func TestGenerateWideGreedySubsetsSurvivePruning(t *testing.T) {
 	kappa, mu := 2.3, 3.1
 	byRisk := s.bestBy(3, func(c Channel) float64 { return c.Risk })
 	found := false
-	for _, a := range GenerateWideAssignments(s, kappa, mu, true, GenConfig{}) {
+	for _, a := range GenerateChoices(s, kappa, mu, true) {
 		if a.M() == 3 && reflect.DeepEqual(a.Members, byRisk) {
 			found = true
 			break
@@ -155,24 +143,6 @@ func TestGenerateWideGreedySubsetsSurvivePruning(t *testing.T) {
 	}
 }
 
-// TestGenerateAssignmentsMatchesWide: the mask form is the wide form with
-// members folded into bitmasks.
-func TestGenerateAssignmentsMatchesWide(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	s := randomWideSet(rng, 18)
-	wide := GenerateWideAssignments(s, 2.2, 3.3, true, GenConfig{})
-	masked := GenerateAssignments(s, 2.2, 3.3, true, GenConfig{})
-	if len(wide) != len(masked) {
-		t.Fatalf("wide %d assignments, masked %d", len(wide), len(masked))
-	}
-	for i, w := range wide {
-		mask, _ := w.Mask()
-		if masked[i].K != w.K || masked[i].Mask != mask {
-			t.Fatalf("index %d: wide %v vs masked %v", i, w, masked[i])
-		}
-	}
-}
-
 // TestGenerateWideLargeSetFast: generation for hundreds of channels must
 // stay well under the 1 s budget the acceptance criteria set for the whole
 // solve.
@@ -180,7 +150,7 @@ func TestGenerateWideLargeSetFast(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s := randomWideSet(rng, 200)
 	start := time.Now()
-	out := GenerateWideAssignments(s, 2.5, 3.5, true, GenConfig{})
+	out := GenerateChoices(s, 2.5, 3.5, true)
 	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
 		t.Fatalf("generation for n=200 took %v", elapsed)
 	}

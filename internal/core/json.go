@@ -77,7 +77,7 @@ func (p *Schedule) UnmarshalJSON(data []byte) error {
 	for i, e := range entries {
 		var mask uint32
 		for _, ch := range e.Channels {
-			if ch < 0 || ch >= maxChannels {
+			if ch < 0 || ch >= MaxChannels {
 				return fmt.Errorf("core: schedule entry %d: channel index %d out of range", i, ch)
 			}
 			mask |= 1 << uint(ch)

@@ -22,7 +22,7 @@ import (
 //
 // Channels for each M are the prefix of the set (channel indices 0..m-1);
 // callers optimizing a property should use the LP in internal/schedule with
-// Options{Limited: true} instead — this construction only witnesses
+// Request{Limited: true} instead — this construction only witnesses
 // feasibility.
 func (s Set) ConstructLimitedSchedule(kappa, mu float64) (Schedule, error) {
 	if err := s.CheckParams(kappa, mu); err != nil {

@@ -90,15 +90,15 @@ func TestSubsetMonotonicity(t *testing.T) {
 		mask := s.FullMask()
 		for k := 1; k < n; k++ {
 			// Needing more shares makes interception harder: z decreasing.
-			if z1, z2 := s.SubsetRisk(k, mask), s.SubsetRisk(k+1, mask); z2 > z1+1e-12 {
+			if z1, z2 := s.SubsetRisk(Correlation{}, k, maskIndices(mask)), s.SubsetRisk(Correlation{}, k+1, maskIndices(mask)); z2 > z1+1e-12 {
 				t.Fatalf("risk not decreasing in k: z(%d)=%v < z(%d)=%v", k, z1, k+1, z2)
 			}
 			// Needing more shares makes loss easier: l increasing.
-			if l1, l2 := s.SubsetLoss(k, mask), s.SubsetLoss(k+1, mask); l2 < l1-1e-12 {
+			if l1, l2 := s.SubsetLoss(Correlation{}, k, maskIndices(mask)), s.SubsetLoss(Correlation{}, k+1, maskIndices(mask)); l2 < l1-1e-12 {
 				t.Fatalf("loss not increasing in k: l(%d)=%v > l(%d)=%v", k, l1, k+1, l2)
 			}
 			// Waiting for more shares cannot reduce delay.
-			if d1, d2 := s.SubsetDelay(k, mask), s.SubsetDelay(k+1, mask); d2 < d1-1e-9 {
+			if d1, d2 := s.SubsetDelay(k, maskIndices(mask)), s.SubsetDelay(k+1, maskIndices(mask)); d2 < d1-1e-9 {
 				t.Fatalf("delay not non-decreasing in k: d(%d)=%v > d(%d)=%v", k, d1, k+1, d2)
 			}
 		}
@@ -107,10 +107,10 @@ func TestSubsetMonotonicity(t *testing.T) {
 		// fixed is non-decreasing in M.
 		if n >= 3 {
 			sub := mask >> 1 // drop the top channel
-			if z1, z2 := s.SubsetRisk(1, sub), s.SubsetRisk(1, mask); z2 < z1-1e-12 {
+			if z1, z2 := s.SubsetRisk(Correlation{}, 1, maskIndices(sub)), s.SubsetRisk(Correlation{}, 1, maskIndices(mask)); z2 < z1-1e-12 {
 				t.Fatalf("risk not non-decreasing in M at k=1: %v > %v", z1, z2)
 			}
-			if l1, l2 := s.SubsetLoss(1, sub), s.SubsetLoss(1, mask); l2 > l1+1e-12 {
+			if l1, l2 := s.SubsetLoss(Correlation{}, 1, maskIndices(sub)), s.SubsetLoss(Correlation{}, 1, maskIndices(mask)); l2 > l1+1e-12 {
 				t.Fatalf("loss not non-increasing in M at k=1: %v < %v", l1, l2)
 			}
 		}

@@ -20,6 +20,10 @@ type Assignment struct {
 // M returns the multiplicity |M| of the assignment.
 func (a Assignment) M() int { return bits.OnesCount32(a.Mask) }
 
+// Members returns the channel indices of M, ascending: the member list the
+// model kernel evaluates.
+func (a Assignment) Members() []int { return maskIndices(a.Mask) }
+
 // Valid reports whether 1 <= k <= |M| and the mask is non-empty within an
 // n-channel set.
 func (a Assignment) Valid(n int) bool {
@@ -87,22 +91,16 @@ func (p Schedule) Mu() float64 {
 	return sum
 }
 
-// Risk returns the schedule risk Z(p) = Σ p(k,M)·z(k,M) over the set.
-func (p Schedule) Risk(s Set) float64 {
-	var sum float64
-	for _, a := range p.Support() {
-		sum += p[a] * s.SubsetRisk(a.K, a.Mask)
-	}
-	return sum
+// Risk returns the schedule risk Z(p) = Σ p(k,M)·z(k,M) over the set under
+// the correlation model; the zero Correlation is the paper's model.
+func (p Schedule) Risk(s Set, corr Correlation) float64 {
+	return p.expect(func(a Assignment) float64 { return s.SubsetRisk(corr, a.K, a.Members()) })
 }
 
-// Loss returns the schedule loss L(p) = Σ p(k,M)·l(k,M) over the set.
-func (p Schedule) Loss(s Set) float64 {
-	var sum float64
-	for _, a := range p.Support() {
-		sum += p[a] * s.SubsetLoss(a.K, a.Mask)
-	}
-	return sum
+// Loss returns the schedule loss L(p) = Σ p(k,M)·l(k,M) over the set under
+// the correlation model.
+func (p Schedule) Loss(s Set, corr Correlation) float64 {
+	return p.expect(func(a Assignment) float64 { return s.SubsetLoss(corr, a.K, a.Members()) })
 }
 
 // Delay returns the schedule delay D(p) = Σ p(k,M)·d(k,M) in seconds.
@@ -110,9 +108,21 @@ func (p Schedule) Loss(s Set) float64 {
 // Note this is the unconditional average of the per-assignment conditional
 // delays, matching the paper's definition of D(p).
 func (p Schedule) Delay(s Set) float64 {
+	return p.expect(func(a Assignment) float64 { return s.SubsetDelay(a.K, a.Members()) })
+}
+
+// GroupExposure returns the schedule's common-cause exposure attributable
+// to shared-risk group g: Σ p(k,M)·e_g(k,M), the quantity the schedule
+// LP's per-group rows bound.
+func (p Schedule) GroupExposure(s Set, corr Correlation, g int) float64 {
+	return p.expect(func(a Assignment) float64 { return s.GroupExposure(corr, g, a.K, a.Members()) })
+}
+
+// expect returns Σ p(a)·f(a) over the support.
+func (p Schedule) expect(f func(Assignment) float64) float64 {
 	var sum float64
 	for _, a := range p.Support() {
-		sum += p[a] * s.SubsetDelay(a.K, a.Mask)
+		sum += p[a] * f(a)
 	}
 	return sum
 }
@@ -122,9 +132,9 @@ func (p Schedule) Delay(s Set) float64 {
 // constraint of the Section IV-D linear program.
 func (p Schedule) ChannelUsage(n int) []float64 {
 	usage := make([]float64, n)
-	for a, prob := range p {
-		for _, i := range maskIndices(a.Mask) {
-			usage[i] += prob
+	for _, a := range p.assignments() {
+		for _, i := range a.Members() {
+			usage[i] += p[a]
 		}
 	}
 	return usage
@@ -178,6 +188,17 @@ func EnumerateLimitedAssignments(n int, kappa, mu float64) []Assignment {
 		if a.K >= kMin && a.M() >= mMin {
 			out = append(out, a)
 		}
+	}
+	return out
+}
+
+// maskIndices returns the channel indices selected by mask, ascending.
+func maskIndices(mask uint32) []int {
+	out := make([]int, 0, bits.OnesCount32(mask))
+	for mask != 0 {
+		i := bits.TrailingZeros32(mask)
+		out = append(out, i)
+		mask &^= 1 << uint(i)
 	}
 	return out
 }

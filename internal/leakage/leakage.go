@@ -89,7 +89,7 @@ func AdvantageBound(probs []float64, k int, cfg Config) float64 {
 // the fully-observed share count (pmf[t] = P(X = t), len(pmf) = m+1). This
 // is the entry point for correlated models, whose observed-count
 // distribution is a shock-pattern mixture rather than a Poisson binomial —
-// see core.CorrelatedObservedPMF.
+// see core.Set.ObservedPMF.
 func AdvantageBoundPMF(pmf []float64, k int, cfg Config) float64 {
 	cfg = cfg.withDefaults()
 	m := len(pmf) - 1
@@ -129,7 +129,7 @@ func AdvantageBoundPMF(pmf []float64, k int, cfg Config) float64 {
 // binomial. It is never smaller than AdvantageBound over the same marginals
 // when the symbol straddles a shared-risk group.
 func CorrelatedAdvantageBound(set core.Set, corr core.Correlation, k int, mask uint32, cfg Config) float64 {
-	return AdvantageBoundPMF(set.CorrelatedObservedPMF(corr, mask), k, cfg)
+	return AdvantageBoundPMF(set.ObservedPMF(corr, core.Assignment{K: k, Mask: mask}.Members()), k, cfg)
 }
 
 // Score is the privacy verdict for one scheduled symbol.
@@ -225,7 +225,7 @@ func (m *Meter) RecordSymbol(at time.Duration, seq uint64, k int, probs []float6
 
 // RecordSymbolPMF scores one scheduled symbol from a precomputed
 // observed-share-count pmf — the correlated-model feed, paired with
-// core.CorrelatedObservedPMF.
+// core.Set.ObservedPMF.
 func (m *Meter) RecordSymbolPMF(at time.Duration, seq uint64, k int, pmf []float64) Score {
 	return m.recordPMF(at, seq, k, pmf)
 }

@@ -398,7 +398,7 @@ func (t *HealthTracker) Usable(ch int) bool {
 // remain, the symbol stalls rather than weakening the schedule.
 //
 // With Resolve, the chooser instead re-solves the Section IV-B LP over
-// the surviving channel subset (Options.Limited keeps every assignment's
+// the surviving channel subset (Request.Limited keeps every assignment's
 // threshold at or above ⌊κ⌋) whenever the usable set changes, and samples
 // the re-solved schedule — the internal/schedule integration that keeps
 // placement risk-optimal under failures.
@@ -427,7 +427,7 @@ type HealthChooser struct {
 	// links, recovery) is a lookup instead of an LP solve.
 	set           core.Set
 	obj           schedule.Objective
-	corr          *core.Correlation
+	corr          core.Correlation
 	sampler       *schedule.Sampler
 	solvedFor     uint32
 	subToFull     []int
@@ -445,24 +445,18 @@ type HealthOption func(*HealthChooser)
 // limited-schedule constraint keeping thresholds at or above ⌊κ⌋) and
 // shares are placed by sampling the new optimum. set must cover the same
 // channels, in the same order, as the sender's links.
-func Resolve(set core.Set, obj schedule.Objective) HealthOption {
+//
+// corr prices shared-risk groups into the objective; the zero value is
+// the paper's independent model. Every re-solve projects the model onto
+// the surviving channels, so failover placement accounts for channels that
+// share a conduit with the ones that just failed. The model must validate
+// against set; factors are quantized by the chooser's schedule cache, so
+// health-driven drift stays cache-warm.
+func Resolve(set core.Set, corr core.Correlation, obj schedule.Objective) HealthOption {
 	return func(c *HealthChooser) {
 		c.set = set
 		c.obj = obj
-	}
-}
-
-// ResolveCorrelated is Resolve under a correlated-adversary model: every
-// re-solve projects the shared-risk groups onto the surviving channel
-// subset and optimizes the correlated objective, so failover placement
-// accounts for channels that share a conduit with the ones that just
-// failed. The model must validate against set; factors are quantized by
-// the chooser's schedule cache, so health-driven drift stays cache-warm.
-func ResolveCorrelated(set core.Set, corr core.Correlation, obj schedule.Objective) HealthOption {
-	return func(c *HealthChooser) {
-		c.set = set
-		c.obj = obj
-		c.corr = &corr
+		c.corr = corr
 	}
 }
 
@@ -485,17 +479,14 @@ func NewHealthChooser(kappa, mu float64, tracker *HealthTracker, rng *rand.Rand,
 	if c.set != nil && c.set.N() != tracker.Channels() {
 		return nil, fmt.Errorf("remicss: resolve set has %d channels, tracker %d", c.set.N(), tracker.Channels())
 	}
-	if c.corr != nil {
+	if c.set != nil {
 		if err := c.corr.Validate(c.set.N()); err != nil {
 			return nil, err
 		}
-	}
-	if c.set != nil {
 		// Re-solve mode routes every solve through a schedule cache wired to
 		// the tracker's registry, trace, and clock: repeat usable sets hit
 		// the cache, fresh ones warm-start the retained simplex basis.
 		c.cache = schedule.NewCache(schedule.CacheConfig{
-			Options: schedule.Options{Limited: true},
 			Metrics: tracker.reg,
 			Trace:   tracker.trace,
 			Now:     tracker.clock,
@@ -638,21 +629,23 @@ func (c *HealthChooser) resolveFor(usable uint32) {
 	s := float64(len(sub))
 	kappaEff := math.Min(c.kappa, s)
 	muEff := math.Max(kappaEff, math.Min(c.mu, s))
-	var (
-		sched core.Schedule
-		err   error
-	)
-	if c.corr != nil {
-		sched, _, err = c.cache.OptimizeCorrelated(sub, c.corr.Project(c.subToFull), kappaEff, muEff, c.obj)
-	} else {
-		sched, _, err = c.cache.Optimize(sub, kappaEff, muEff, c.obj)
-	}
+	res, _, err := c.cache.Solve(schedule.Request{
+		Set: sub, Corr: c.corr.Project(c.subToFull), Kappa: kappaEff, Mu: muEff, Obj: c.obj, Limited: true,
+	})
 	if err != nil {
 		c.resolveErr = fmt.Errorf("remicss: re-solving schedule for %d survivors: %w", len(sub), err)
 		c.noteResolveError(len(sub))
 		return
 	}
-	sampler, err := schedule.NewSampler(sched, len(sub), c.rng)
+	if res.Members != nil {
+		// Beyond core.MaxChannels survivors the schedule is compacted onto
+		// its support: its masks index res.Members, not sub.
+		for li, i := range res.Members {
+			c.subToFull[li] = c.subToFull[i]
+		}
+		c.subToFull = c.subToFull[:len(res.Members)]
+	}
+	sampler, err := schedule.NewSampler(res.Schedule, len(c.subToFull), c.rng)
 	if err != nil {
 		c.resolveErr = fmt.Errorf("remicss: sampling re-solved schedule: %w", err)
 		c.noteResolveError(len(sub))

@@ -33,7 +33,7 @@ func TestHealthChooserResolveCorrelated(t *testing.T) {
 	}
 	const kappa, mu = 2, 3
 	ch, err := NewHealthChooser(kappa, mu, tr, rand.New(rand.NewSource(5)),
-		ResolveCorrelated(set, corr, schedule.ObjectiveRisk))
+		Resolve(set, corr, schedule.ObjectiveRisk))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestResolveCorrelatedValidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = NewHealthChooser(1, 2, tr, rand.New(rand.NewSource(1)),
-		ResolveCorrelated(set, corr, schedule.ObjectiveRisk))
+		Resolve(set, corr, schedule.ObjectiveRisk))
 	if err == nil {
 		t.Fatal("out-of-range group accepted")
 	}

@@ -315,7 +315,7 @@ func TestHealthChooserResolveMode(t *testing.T) {
 	}
 	const kappa, mu = 2, 3
 	ch, err := NewHealthChooser(kappa, mu, tr, rand.New(rand.NewSource(5)),
-		Resolve(set, schedule.ObjectiveRisk))
+		Resolve(set, core.Correlation{}, schedule.ObjectiveRisk))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,16 +392,18 @@ func counterOn(t *testing.T, reg *obs.Registry, name string) int64 {
 	return 0
 }
 
-// TestHealthChooserResolveErrorSurfaced: when the re-solve fails (here: the
-// set exceeds the exact-schedule channel cap), the chooser must fall back to
-// clamping AND surface the failure as remicss_chooser_resolve_errors_total
-// plus a resolve-error trace event carrying the survivor count.
+// TestHealthChooserResolveErrorSurfaced: when the re-solve fails (here: a
+// channel with a negative delay fails validation), the chooser must fall
+// back to clamping AND surface the failure as
+// remicss_chooser_resolve_errors_total plus a resolve-error trace event
+// carrying the survivor count.
 func TestHealthChooserResolveErrorSurfaced(t *testing.T) {
-	const n = 23 // above core.Set.Validate's channel cap: Optimize fails
+	const n = 5
 	set := make(core.Set, n)
 	for i := range set {
 		set[i] = core.Channel{Risk: 0.1, Loss: 0.01, Delay: 10 * time.Millisecond, Rate: 1000}
 	}
+	set[2].Delay = -10 * time.Millisecond
 	clock := &fakeClock{now: 7 * time.Millisecond}
 	reg := obs.NewRegistry()
 	trace := obs.NewTrace(64)
@@ -410,7 +412,7 @@ func TestHealthChooserResolveErrorSurfaced(t *testing.T) {
 		t.Fatal(err)
 	}
 	ch, err := NewHealthChooser(2, 3, tr, rand.New(rand.NewSource(11)),
-		Resolve(set, schedule.ObjectiveRisk))
+		Resolve(set, core.Correlation{}, schedule.ObjectiveRisk))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,6 +444,39 @@ func TestHealthChooserResolveErrorSurfaced(t *testing.T) {
 	}
 	if !found {
 		t.Error("no resolve-error trace event recorded")
+	}
+}
+
+// TestHealthChooserResolveBeyondMaskCap: more survivors than
+// core.MaxChannels are solved over generated candidates and compacted onto
+// the support; the chooser must map the compacted masks back to links.
+func TestHealthChooserResolveBeyondMaskCap(t *testing.T) {
+	const n = core.MaxChannels + 2
+	set := make(core.Set, n)
+	for i := range set {
+		set[i] = core.Channel{Risk: 0.05 + 0.01*float64(i), Loss: 0.01, Delay: 10 * time.Millisecond, Rate: 1000}
+	}
+	tr, err := NewHealthTracker(HealthConfig{}, n, (&fakeClock{}).Now, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := NewHealthChooser(2, 3, tr, rand.New(rand.NewSource(12)),
+		Resolve(set, core.Correlation{}, schedule.ObjectiveRisk))
+	if err != nil {
+		t.Fatal(err)
+	}
+	links := make([]Link, n)
+	for i := range links {
+		links[i] = &healthLink{writable: true, accept: true}
+	}
+	for i := 0; i < 50; i++ {
+		k, mask, ok := ch.Choose(links)
+		if !ok || k < 2 || k > bits.OnesCount32(mask) || mask >= 1<<n {
+			t.Fatalf("choice %d: k=%d mask=%b ok=%v", i, k, mask, ok)
+		}
+	}
+	if err := ch.ResolveErr(); err != nil {
+		t.Fatal(err)
 	}
 }
 

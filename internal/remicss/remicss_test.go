@@ -270,10 +270,11 @@ func TestStaticChooserFollowsSchedule(t *testing.T) {
 		{Risk: 0.2, Rate: 100},
 		{Risk: 0.2, Rate: 100},
 	}
-	sched, err := schedule.Optimize(s, 1.5, 2.5, schedule.ObjectiveRisk, schedule.Options{})
+	res, err := schedule.Solve(schedule.Request{Set: s, Kappa: 1.5, Mu: 2.5, Obj: schedule.ObjectiveRisk})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sched := res.Schedule
 	chooser, err := NewStaticChooser(sched, 3, rand.New(rand.NewSource(8)))
 	if err != nil {
 		t.Fatal(err)

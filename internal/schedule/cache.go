@@ -42,66 +42,31 @@ func (t SolveTier) String() string {
 	}
 }
 
-// programKind distinguishes the two LP shapes a Cache serves; it is part of
-// the cache key.
-type programKind uint8
-
+// The quantization grid: channel properties and correlation factors are
+// snapped to multiples of these steps before keying and solving, so nearby
+// channel states share one cache entry (and one schedule).
 const (
-	programSectionIVB programKind = iota + 1
-	programMaxRate
-	programLarge
+	riskStep  = 0.01
+	lossStep  = 0.01
+	delayStep = 5 * time.Millisecond
+	rateStep  = 10.0
+	rhoStep   = 0.05
 )
 
 // CacheConfig tunes a schedule Cache. The zero value selects the documented
 // defaults.
 type CacheConfig struct {
-	// RiskStep, LossStep, DelayStep, and RateStep define the quantization
-	// grid: channel properties are snapped to multiples of these steps
-	// before keying and solving, so nearby channel states share one cache
-	// entry (and one schedule). Coarser steps raise the hit rate at the
-	// cost of schedule fidelity. Defaults: 0.01, 0.01, 5ms, 10 sym/s.
-	RiskStep  float64
-	LossStep  float64
-	DelayStep time.Duration
-	RateStep  float64
-	// RhoStep quantizes correlation factors for OptimizeCorrelated keys
-	// and solves, analogous to RiskStep for channel risk. Default 0.05.
-	RhoStep float64
 	// MaxEntries bounds the table size; beyond it the least-recently-used
 	// quarter of entries is evicted. Default 1024.
 	MaxEntries int
-	// Options applies to every solve the cache performs.
-	Options Options
 	// Metrics, when non-nil, registers the cache and warm-solve counters.
 	Metrics *obs.Registry
 	// Trace, when non-nil, receives a schedule-resolved event (value =
-	// solve tier) for every Optimize call. Now supplies event timestamps
+	// solve tier) for every Solve call. Now supplies event timestamps
 	// and defaults to zero timestamps when nil.
 	Trace *obs.Trace
 	// Now supplies trace timestamps; see Trace.
 	Now func() time.Duration
-}
-
-func (c CacheConfig) withDefaults() CacheConfig {
-	if c.RiskStep <= 0 {
-		c.RiskStep = 0.01
-	}
-	if c.LossStep <= 0 {
-		c.LossStep = 0.01
-	}
-	if c.DelayStep <= 0 {
-		c.DelayStep = 5 * time.Millisecond
-	}
-	if c.RateStep <= 0 {
-		c.RateStep = 10
-	}
-	if c.RhoStep <= 0 {
-		c.RhoStep = 0.05
-	}
-	if c.MaxEntries <= 0 {
-		c.MaxEntries = 1024
-	}
-	return c
 }
 
 // cacheEntry is one resolved schedule. Entries form collision chains; all
@@ -109,14 +74,14 @@ func (c CacheConfig) withDefaults() CacheConfig {
 type cacheEntry struct {
 	next     atomic.Pointer[cacheEntry] // eviction unlinks in place
 	hash     uint64                     // hashState of the entry's state
-	kind     programKind
+	flags    uint64                     // requestFlags
 	obj      Objective
 	kappa    uint64 // float bits
 	mu       uint64
+	cap      uint64
 	qchan    []int64 // 4 quantized values per channel
 	qcorr    []int64 // 3 quantized values per shared-risk group; nil when uncorrelated
-	sched    core.Schedule
-	members  []int         // wide-program support compaction; nil for mask programs
+	res      Result
 	lastUsed atomic.Uint64 // generation clock at last touch
 }
 
@@ -156,7 +121,10 @@ type Cache struct {
 
 // NewCache builds a schedule cache.
 func NewCache(cfg CacheConfig) *Cache {
-	c := &Cache{cfg: cfg.withDefaults(), solver: lp.NewSolver()}
+	if cfg.MaxEntries <= 0 {
+		cfg.MaxEntries = 1024
+	}
+	c := &Cache{cfg: cfg, solver: lp.NewSolver()}
 	if reg := c.cfg.Metrics; reg != nil {
 		c.hits = reg.Counter("remicss_schedule_cache_hits_total")
 		c.misses = reg.Counter("remicss_schedule_cache_misses_total")
@@ -167,43 +135,26 @@ func NewCache(cfg CacheConfig) *Cache {
 	return c
 }
 
-// Optimize is the cached form of Optimize: it resolves the Section IV-B
-// program for the channel state quantized to the cache's grid, returning
-// the schedule and the tier that produced it.
-func (c *Cache) Optimize(s core.Set, kappa, mu float64, obj Objective) (core.Schedule, SolveTier, error) {
-	return c.resolve(programSectionIVB, s, core.Correlation{}, kappa, mu, obj)
-}
-
-// OptimizeCorrelated is Optimize under a correlated-adversary model: the
-// program is built with correlated risk/loss coefficients and — when the
-// cache's Options set GroupExposureCap — per-group exposure rows. The
-// correlation factors are quantized to the RhoStep grid and join the cache
-// key, so health-driven rho drift within one grid cell stays a lock-free
-// hit while a genuine regime change re-solves (warm-started, like any other
-// miss). An empty model is exactly Optimize and shares its cache entries.
-func (c *Cache) OptimizeCorrelated(s core.Set, corr core.Correlation, kappa, mu float64, obj Objective) (core.Schedule, SolveTier, error) {
-	return c.resolve(programSectionIVB, s, corr, kappa, mu, obj)
-}
-
-// OptimizeAtMaxRate is the cached form of OptimizeAtMaxRate (the Section
-// IV-D program). It shares the table and retained solver with Optimize;
-// the program shape is part of the cache key.
-func (c *Cache) OptimizeAtMaxRate(s core.Set, kappa, mu float64, obj Objective) (core.Schedule, SolveTier, error) {
-	return c.resolve(programMaxRate, s, core.Correlation{}, kappa, mu, obj)
-}
-
-func (c *Cache) resolve(kind programKind, s core.Set, corr core.Correlation, kappa, mu float64, obj Objective) (core.Schedule, SolveTier, error) {
-	if e, ok := c.lookup(kind, s, corr, kappa, mu, obj); ok {
+// Solve is the cached form of Solve: it resolves the request for the
+// channel state and correlation factors quantized to the cache's grid,
+// returning the result and the tier that produced it. The whole request
+// is the key: the program options, κ and μ, the quantized channel state,
+// and the materially correlated groups (an all-zero model shares the
+// independent entries), so health-driven drift within one grid cell stays a
+// lock-free hit while a genuine regime change re-solves, warm-started like
+// any other miss.
+func (c *Cache) Solve(req Request) (Result, SolveTier, error) {
+	if e, ok := c.lookup(&req); ok {
 		c.emit(TierCached)
-		return e.sched, TierCached, nil
+		return e.res, TierCached, nil
 	}
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	// Another goroutine may have resolved this state while we waited.
-	if e, ok := c.lookup(kind, s, corr, kappa, mu, obj); ok {
+	if e, ok := c.lookup(&req); ok {
 		c.emit(TierCached)
-		return e.sched, TierCached, nil
+		return e.res, TierCached, nil
 	}
 	if c.misses != nil {
 		c.misses.Inc()
@@ -212,87 +163,32 @@ func (c *Cache) resolve(kind programKind, s core.Set, corr core.Correlation, kap
 	// Solve on the quantized state, not the raw one: every state in this
 	// grid cell must map to the same schedule bytes. The correlation model
 	// is quantized the same way for the same reason.
-	qs := c.quantizeSet(s)
-	qc := c.quantizeCorr(corr)
-	opts := c.cfg.Options
-	if len(qc.Groups) > 0 {
-		opts.Correlation = &qc
-	}
-	var (
-		prob        lp.Problem
-		assignments []core.Assignment
-		err         error
-	)
-	switch kind {
-	case programSectionIVB:
-		prob, assignments, err = buildSectionIVB(qs, kappa, mu, obj, opts)
-	case programMaxRate:
-		prob, assignments, err = buildMaxRate(qs, kappa, mu, obj, opts)
-	}
+	q := req
+	q.Set = quantizeSet(req.Set)
+	q.Corr = quantizeCorr(req.Corr)
+	prob, choices, err := q.build()
 	if err != nil {
-		return nil, TierCold, err
+		return Result{}, TierCold, err
 	}
 	sol, tier, err := c.warmSolve(prob)
 	if err != nil {
-		return nil, TierCold, err
+		return Result{}, TierCold, err
 	}
-	sched, err := solutionToSchedule(sol, assignments, qs.N())
+	res, err := q.result(sol, choices)
 	if err != nil {
-		return nil, tier, err
+		return Result{}, tier, err
 	}
 
-	c.insert(kind, qs, qc, kappa, mu, obj, sched, nil)
+	c.insert(&q, res)
 	c.emit(tier)
-	return sched, tier, nil
-}
-
-// OptimizeLarge is the cached form of OptimizeLarge: the wide-assignment
-// Section IV-B program for channel sets beyond the exact-enumeration cap,
-// with the optimum compacted onto its support. The compacted schedule and
-// its member mapping are cached together; like the mask programs, misses
-// warm-start the retained solver (the wide program's constraint rows depend
-// only on the generated candidate structure, so a risk drift that leaves
-// the candidates unchanged re-solves from the prior vertex).
-func (c *Cache) OptimizeLarge(s core.Set, kappa, mu float64, obj Objective) (core.Schedule, []int, SolveTier, error) {
-	if e, ok := c.lookup(programLarge, s, core.Correlation{}, kappa, mu, obj); ok {
-		c.emit(TierCached)
-		return e.sched, e.members, TierCached, nil
-	}
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.lookup(programLarge, s, core.Correlation{}, kappa, mu, obj); ok {
-		c.emit(TierCached)
-		return e.sched, e.members, TierCached, nil
-	}
-	if c.misses != nil {
-		c.misses.Inc()
-	}
-
-	qs := c.quantizeSet(s)
-	prob, assignments, err := buildLarge(qs, kappa, mu, obj, c.cfg.Options)
-	if err != nil {
-		return nil, nil, TierCold, err
-	}
-	sol, tier, err := c.warmSolve(prob)
-	if err != nil {
-		return nil, nil, TierCold, err
-	}
-	sched, members, err := compactWideSolution(sol.X, assignments)
-	if err != nil {
-		return nil, nil, tier, err
-	}
-
-	c.insert(programLarge, qs, core.Correlation{}, kappa, mu, obj, sched, members)
-	c.emit(tier)
-	return sched, members, tier, nil
+	return res, tier, nil
 }
 
 // warmSolve runs one program through the retained solver and classifies the
 // outcome as a warm or cold tier, advancing the warm counters. Caller holds
 // c.mu.
 //
-//lint:allow mutexguard both call sites (resolve, OptimizeLarge) hold c.mu across the call
+//lint:allow mutexguard the one call site (Solve) holds c.mu across the call
 func (c *Cache) warmSolve(prob lp.Problem) (lp.Solution, SolveTier, error) {
 	sol, basis, err := c.solver.WarmSolve(c.basis, prob)
 	if err != nil {
@@ -311,14 +207,28 @@ func (c *Cache) warmSolve(prob lp.Problem) (lp.Solution, SolveTier, error) {
 	return sol, tier, nil
 }
 
-// lookup is the lock-free, allocation-free cache read path: hash the
-// quantized state, load its chain from the table, compare field-wise.
+// requestFlags packs a request's program options for its key.
 //
 //remicss:noalloc
-func (c *Cache) lookup(kind programKind, s core.Set, corr core.Correlation, kappa, mu float64, obj Objective) (*cacheEntry, bool) {
-	h := c.hashState(kind, s, corr, kappa, mu, obj)
+func requestFlags(req *Request) uint64 {
+	var f uint64
+	if req.MaxRate {
+		f |= 1
+	}
+	if req.Limited {
+		f |= 2
+	}
+	return f
+}
+
+// lookup is the lock-free, allocation-free cache read path: hash the
+// quantized request, load its chain from the table, compare field-wise.
+//
+//remicss:noalloc
+func (c *Cache) lookup(req *Request) (*cacheEntry, bool) {
+	h := hashState(req)
 	for e := c.table.Get(h); e != nil; e = e.next.Load() {
-		if c.entryMatches(e, kind, s, corr, kappa, mu, obj) {
+		if entryMatches(e, req) {
 			e.lastUsed.Store(c.gen.Add(1))
 			if c.hits != nil {
 				c.hits.Inc()
@@ -329,25 +239,25 @@ func (c *Cache) lookup(kind programKind, s core.Set, corr core.Correlation, kapp
 	return nil, false
 }
 
-// hashState folds the quantized channel state and program identity through
-// a splitmix64-style mixer.
+// hashState folds the quantized request through a splitmix64-style mixer.
 //
 //remicss:noalloc
-func (c *Cache) hashState(kind programKind, s core.Set, corr core.Correlation, kappa, mu float64, obj Objective) uint64 {
-	h := mix64(uint64(kind), uint64(obj))
-	h = mix64(h, uint64(len(s)))
-	h = mix64(h, math.Float64bits(kappa))
-	h = mix64(h, math.Float64bits(mu))
-	for i := range s {
-		h = mix64(h, uint64(c.quantRisk(s[i].Risk)))
-		h = mix64(h, uint64(c.quantLoss(s[i].Loss)))
-		h = mix64(h, uint64(c.quantDelay(s[i].Delay)))
-		h = mix64(h, uint64(c.quantRate(s[i].Rate)))
+func hashState(req *Request) uint64 {
+	h := mix64(requestFlags(req), uint64(req.Obj))
+	h = mix64(h, uint64(len(req.Set)))
+	h = mix64(h, math.Float64bits(req.Kappa))
+	h = mix64(h, math.Float64bits(req.Mu))
+	h = mix64(h, math.Float64bits(req.GroupExposureCap))
+	for _, ch := range req.Set {
+		h = mix64(h, uint64(quantRisk(ch.Risk)))
+		h = mix64(h, uint64(quantLoss(ch.Loss)))
+		h = mix64(h, uint64(quantDelay(ch.Delay)))
+		h = mix64(h, uint64(quantRate(ch.Rate)))
 	}
 	// Only materially correlated groups reach the key, so an all-zero
 	// model hashes identically to no model and shares its entries.
-	for _, g := range corr.Groups {
-		qr, ql := c.quantRho(g.RiskRho), c.quantRho(g.LossRho)
+	for _, g := range req.Corr.Groups {
+		qr, ql := quantRho(g.RiskRho), quantRho(g.LossRho)
 		if qr == 0 && ql == 0 {
 			continue
 		}
@@ -358,21 +268,22 @@ func (c *Cache) hashState(kind programKind, s core.Set, corr core.Correlation, k
 	return h
 }
 
-// entryMatches compares an entry against a query state field-wise — hash
+// entryMatches compares an entry against a query field-wise — hash
 // collisions must never alias two distinct states.
 //
 //remicss:noalloc
-func (c *Cache) entryMatches(e *cacheEntry, kind programKind, s core.Set, corr core.Correlation, kappa, mu float64, obj Objective) bool {
-	if e.kind != kind || e.obj != obj ||
-		e.kappa != math.Float64bits(kappa) || e.mu != math.Float64bits(mu) ||
-		len(e.qchan) != 4*len(s) {
+func entryMatches(e *cacheEntry, req *Request) bool {
+	if e.flags != requestFlags(req) || e.obj != req.Obj ||
+		e.kappa != math.Float64bits(req.Kappa) || e.mu != math.Float64bits(req.Mu) ||
+		e.cap != math.Float64bits(req.GroupExposureCap) ||
+		len(e.qchan) != 4*len(req.Set) {
 		return false
 	}
-	for i := range s {
-		if e.qchan[4*i] != c.quantRisk(s[i].Risk) ||
-			e.qchan[4*i+1] != c.quantLoss(s[i].Loss) ||
-			e.qchan[4*i+2] != c.quantDelay(s[i].Delay) ||
-			e.qchan[4*i+3] != c.quantRate(s[i].Rate) {
+	for i, ch := range req.Set {
+		if e.qchan[4*i] != quantRisk(ch.Risk) ||
+			e.qchan[4*i+1] != quantLoss(ch.Loss) ||
+			e.qchan[4*i+2] != quantDelay(ch.Delay) ||
+			e.qchan[4*i+3] != quantRate(ch.Rate) {
 			return false
 		}
 	}
@@ -380,8 +291,8 @@ func (c *Cache) entryMatches(e *cacheEntry, kind programKind, s core.Set, corr c
 	// dropped from keys, so an all-zero model matches uncorrelated
 	// entries) in order against the entry's stored triples.
 	gi := 0
-	for _, g := range corr.Groups {
-		qr, ql := c.quantRho(g.RiskRho), c.quantRho(g.LossRho)
+	for _, g := range req.Corr.Groups {
+		qr, ql := quantRho(g.RiskRho), quantRho(g.LossRho)
 		if qr == 0 && ql == 0 {
 			continue
 		}
@@ -396,21 +307,21 @@ func (c *Cache) entryMatches(e *cacheEntry, kind programKind, s core.Set, corr c
 }
 
 //remicss:noalloc
-func (c *Cache) quantRisk(z float64) int64 { return int64(math.Round(z / c.cfg.RiskStep)) }
+func quantRisk(z float64) int64 { return int64(math.Round(z / riskStep)) }
 
 //remicss:noalloc
-func (c *Cache) quantLoss(l float64) int64 { return int64(math.Round(l / c.cfg.LossStep)) }
+func quantLoss(l float64) int64 { return int64(math.Round(l / lossStep)) }
 
 //remicss:noalloc
-func (c *Cache) quantDelay(d time.Duration) int64 {
-	return int64(math.Round(float64(d) / float64(c.cfg.DelayStep)))
+func quantDelay(d time.Duration) int64 {
+	return int64(math.Round(float64(d) / float64(delayStep)))
 }
 
 //remicss:noalloc
-func (c *Cache) quantRate(r float64) int64 { return int64(math.Round(r / c.cfg.RateStep)) }
+func quantRate(r float64) int64 { return int64(math.Round(r / rateStep)) }
 
 //remicss:noalloc
-func (c *Cache) quantRho(r float64) int64 { return int64(math.Round(r / c.cfg.RhoStep)) }
+func quantRho(r float64) int64 { return int64(math.Round(r / rhoStep)) }
 
 // mix64 is a splitmix64-style combining step.
 //
@@ -425,14 +336,14 @@ func mix64(h, v uint64) uint64 {
 // quantizeSet snaps every channel to the grid. Quantized risk and loss are
 // clamped back into their valid ranges (a loss snapped up to 1.0 would be
 // an invalid channel).
-func (c *Cache) quantizeSet(s core.Set) core.Set {
+func quantizeSet(s core.Set) core.Set {
 	qs := make(core.Set, len(s))
 	for i, ch := range s {
 		qs[i] = core.Channel{
-			Risk:  clampProb(float64(c.quantRisk(ch.Risk)) * c.cfg.RiskStep),
-			Loss:  math.Min(clampProb(float64(c.quantLoss(ch.Loss))*c.cfg.LossStep), 1-1e-9),
-			Delay: time.Duration(c.quantDelay(ch.Delay)) * c.cfg.DelayStep,
-			Rate:  math.Max(float64(c.quantRate(ch.Rate))*c.cfg.RateStep, c.cfg.RateStep/2),
+			Risk:  clampProb(float64(quantRisk(ch.Risk)) * riskStep),
+			Loss:  math.Min(clampProb(float64(quantLoss(ch.Loss))*lossStep), 1-1e-9),
+			Delay: time.Duration(quantDelay(ch.Delay)) * delayStep,
+			Rate:  math.Max(float64(quantRate(ch.Rate))*rateStep, rateStep/2),
 		}
 	}
 	return qs
@@ -443,45 +354,44 @@ func clampProb(p float64) float64 { return math.Max(0, math.Min(1, p)) }
 // quantizeCorr snaps correlation factors to the rho grid, dropping groups
 // whose factors both quantize to zero — those are independence, and keying
 // them would split one schedule across two entries.
-func (c *Cache) quantizeCorr(corr core.Correlation) core.Correlation {
+func quantizeCorr(corr core.Correlation) core.Correlation {
 	var out core.Correlation
 	for _, g := range corr.Groups {
-		qr, ql := c.quantRho(g.RiskRho), c.quantRho(g.LossRho)
+		qr, ql := quantRho(g.RiskRho), quantRho(g.LossRho)
 		if qr == 0 && ql == 0 {
 			continue
 		}
 		out.Groups = append(out.Groups, core.RiskGroup{
 			Mask:    g.Mask,
-			RiskRho: clampProb(float64(qr) * c.cfg.RhoStep),
-			LossRho: clampProb(float64(ql) * c.cfg.RhoStep),
+			RiskRho: clampProb(float64(qr) * rhoStep),
+			LossRho: clampProb(float64(ql) * rhoStep),
 		})
 	}
 	return out
 }
 
-// insert publishes the entry at the head of its hash chain, first evicting
-// the least-recently-used quarter when the table is full. Caller holds c.mu.
-func (c *Cache) insert(kind programKind, qs core.Set, qc core.Correlation, kappa, mu float64, obj Objective, sched core.Schedule, members []int) {
-	qchan := make([]int64, 0, 4*len(qs))
-	for i := range qs {
-		qchan = append(qchan,
-			c.quantRisk(qs[i].Risk), c.quantLoss(qs[i].Loss),
-			c.quantDelay(qs[i].Delay), c.quantRate(qs[i].Rate))
+// insert publishes the entry for the quantized request q at the head of
+// its hash chain, first evicting the least-recently-used quarter when the
+// table is full. Caller holds c.mu.
+func (c *Cache) insert(q *Request, res Result) {
+	qchan := make([]int64, 0, 4*len(q.Set))
+	for _, ch := range q.Set {
+		qchan = append(qchan, quantRisk(ch.Risk), quantLoss(ch.Loss), quantDelay(ch.Delay), quantRate(ch.Rate))
 	}
 	var qcorr []int64
-	for _, g := range qc.Groups {
-		qcorr = append(qcorr, int64(g.Mask), c.quantRho(g.RiskRho), c.quantRho(g.LossRho))
+	for _, g := range q.Corr.Groups {
+		qcorr = append(qcorr, int64(g.Mask), quantRho(g.RiskRho), quantRho(g.LossRho))
 	}
 	e := &cacheEntry{
-		hash:    c.hashState(kind, qs, qc, kappa, mu, obj),
-		kind:    kind,
-		obj:     obj,
-		kappa:   math.Float64bits(kappa),
-		mu:      math.Float64bits(mu),
-		qchan:   qchan,
-		qcorr:   qcorr,
-		sched:   sched,
-		members: members,
+		hash:  hashState(q),
+		flags: requestFlags(q),
+		obj:   q.Obj,
+		kappa: math.Float64bits(q.Kappa),
+		mu:    math.Float64bits(q.Mu),
+		cap:   math.Float64bits(q.GroupExposureCap),
+		qchan: qchan,
+		qcorr: qcorr,
+		res:   res,
 	}
 	e.lastUsed.Store(c.gen.Add(1))
 

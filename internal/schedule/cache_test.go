@@ -12,9 +12,15 @@ import (
 	"remicss/internal/obs"
 )
 
-func testCache(opts Options) (*Cache, *obs.Registry) {
+func testCache() (*Cache, *obs.Registry) {
 	reg := obs.NewRegistry()
-	return NewCache(CacheConfig{Options: opts, Metrics: reg}), reg
+	return NewCache(CacheConfig{Metrics: reg}), reg
+}
+
+// cacheSchedule is Cache.Solve reduced to its schedule and tier.
+func cacheSchedule(c *Cache, req Request) (core.Schedule, SolveTier, error) {
+	res, tier, err := c.Solve(req)
+	return res.Schedule, tier, err
 }
 
 func counterValue(t *testing.T, reg *obs.Registry, name string) int64 {
@@ -31,17 +37,17 @@ func counterValue(t *testing.T, reg *obs.Registry, name string) int64 {
 // TestCacheHitReturnsSameSchedule: a repeated query must hit and return the
 // identical schedule object, and the counters must advance accordingly.
 func TestCacheHitReturnsSameSchedule(t *testing.T) {
-	c, reg := testCache(Options{Limited: true})
+	c, reg := testCache()
 	s := diverseSet()
 
-	first, tier, err := c.Optimize(s, 2, 3, ObjectiveRisk)
+	first, tier, err := cacheSchedule(c, Request{Set: s, Kappa: 2, Mu: 3, Obj: ObjectiveRisk, Limited: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tier == TierCached {
 		t.Fatalf("first resolve tier = %v, want a solve", tier)
 	}
-	second, tier, err := c.Optimize(s, 2, 3, ObjectiveRisk)
+	second, tier, err := cacheSchedule(c, Request{Set: s, Kappa: 2, Mu: 3, Obj: ObjectiveRisk, Limited: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,31 +66,24 @@ func TestCacheHitReturnsSameSchedule(t *testing.T) {
 }
 
 // TestCacheMatchesUncachedOptimize: on the quantization grid itself, the
-// cached solve must agree with plain Optimize.
+// cached solve must agree with plain Solve.
 func TestCacheMatchesUncachedOptimize(t *testing.T) {
-	opts := Options{Limited: true}
-	// A grid that diverseSet lies on exactly, so quantization is identity.
-	c := NewCache(CacheConfig{
-		Options:   opts,
-		RiskStep:  0.01,
-		LossStep:  0.005,
-		DelayStep: 250 * time.Microsecond,
-		RateStep:  5,
-	})
-	s := diverseSet()
+	c := NewCache(CacheConfig{})
+	// diverseSet snapped to the grid, so quantization is identity.
+	s := quantizeSet(diverseSet())
 	for _, obj := range []Objective{ObjectiveRisk, ObjectiveLoss, ObjectiveDelay} {
-		cached, _, err := c.Optimize(s, 2, 3, obj)
+		cached, _, err := cacheSchedule(c, Request{Set: s, Kappa: 2, Mu: 3, Obj: obj, Limited: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := Optimize(s, 2, 3, obj, opts)
+		plain, err := solveSchedule(Request{Set: s, Kappa: 2, Mu: 3, Obj: obj, Limited: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !almostEqual(cached.Risk(s), plain.Risk(s), 1e-9) ||
-			!almostEqual(cached.Loss(s), plain.Loss(s), 1e-9) ||
+		if !almostEqual(cached.Risk(s, core.Correlation{}), plain.Risk(s, core.Correlation{}), 1e-9) ||
+			!almostEqual(cached.Loss(s, core.Correlation{}), plain.Loss(s, core.Correlation{}), 1e-9) ||
 			!almostEqual(cached.Delay(s), plain.Delay(s), 1e-9) {
-			t.Fatalf("obj %v: cached schedule metrics diverge from Optimize", obj)
+			t.Fatalf("obj %v: cached schedule metrics diverge from Solve", obj)
 		}
 	}
 }
@@ -92,15 +91,15 @@ func TestCacheMatchesUncachedOptimize(t *testing.T) {
 // TestCacheQuantizationAliases: two states inside one grid cell must share
 // a cache entry; states in different cells must not.
 func TestCacheQuantizationAliases(t *testing.T) {
-	c, reg := testCache(Options{Limited: true})
+	c, reg := testCache()
 	s := diverseSet()
-	if _, _, err := c.Optimize(s, 2, 3, ObjectiveRisk); err != nil {
+	if _, _, err := cacheSchedule(c, Request{Set: s, Kappa: 2, Mu: 3, Obj: ObjectiveRisk, Limited: true}); err != nil {
 		t.Fatal(err)
 	}
 
 	nudged := append(core.Set(nil), s...)
 	nudged[0].Risk += 0.001 // default RiskStep is 0.01: same cell
-	if _, tier, err := c.Optimize(nudged, 2, 3, ObjectiveRisk); err != nil {
+	if _, tier, err := cacheSchedule(c, Request{Set: nudged, Kappa: 2, Mu: 3, Obj: ObjectiveRisk, Limited: true}); err != nil {
 		t.Fatal(err)
 	} else if tier != TierCached {
 		t.Fatalf("sub-grid perturbation tier = %v, want cached", tier)
@@ -108,7 +107,7 @@ func TestCacheQuantizationAliases(t *testing.T) {
 
 	moved := append(core.Set(nil), s...)
 	moved[0].Risk += 0.1 // ten cells away
-	if _, tier, err := c.Optimize(moved, 2, 3, ObjectiveRisk); err != nil {
+	if _, tier, err := cacheSchedule(c, Request{Set: moved, Kappa: 2, Mu: 3, Obj: ObjectiveRisk, Limited: true}); err != nil {
 		t.Fatal(err)
 	} else if tier == TierCached {
 		t.Fatal("cross-cell perturbation hit the cache")
@@ -122,9 +121,9 @@ func TestCacheQuantizationAliases(t *testing.T) {
 // perturbations should re-solve warm (the LP constraint structure of the
 // IV-B program is unchanged), advancing the warm-solve counters.
 func TestCacheWarmTier(t *testing.T) {
-	c, reg := testCache(Options{Limited: true})
+	c, reg := testCache()
 	s := diverseSet()
-	if _, tier, err := c.Optimize(s, 2, 3, ObjectiveRisk); err != nil {
+	if _, tier, err := cacheSchedule(c, Request{Set: s, Kappa: 2, Mu: 3, Obj: ObjectiveRisk, Limited: true}); err != nil {
 		t.Fatal(err)
 	} else if tier != TierCold {
 		t.Fatalf("first solve tier = %v, want cold", tier)
@@ -134,7 +133,7 @@ func TestCacheWarmTier(t *testing.T) {
 	for i := 1; i <= 8; i++ {
 		moved := append(core.Set(nil), s...)
 		moved[0].Risk = 0.30 + 0.05*float64(i) // new cell each step
-		_, tier, err := c.Optimize(moved, 2, 3, ObjectiveRisk)
+		_, tier, err := cacheSchedule(c, Request{Set: moved, Kappa: 2, Mu: 3, Obj: ObjectiveRisk, Limited: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +156,7 @@ func TestCacheWarmTier(t *testing.T) {
 // quantize equally must all observe the identical schedule (run with -race;
 // the read path is an atomic snapshot).
 func TestCacheDeterminismUnderRace(t *testing.T) {
-	c, _ := testCache(Options{Limited: true})
+	c, _ := testCache()
 	s := diverseSet()
 
 	const goroutines = 8
@@ -175,7 +174,7 @@ func TestCacheDeterminismUnderRace(t *testing.T) {
 					// Jitter well inside the grid cell: same quantized state.
 					jittered[j].Risk += (rng.Float64() - 0.5) * 0.004
 				}
-				sched, _, err := c.Optimize(jittered, 2, 3, ObjectiveLoss)
+				sched, _, err := cacheSchedule(c, Request{Set: jittered, Kappa: 2, Mu: 3, Obj: ObjectiveLoss, Limited: true})
 				if err != nil {
 					t.Error(err)
 					return
@@ -200,13 +199,14 @@ func TestCacheDeterminismUnderRace(t *testing.T) {
 // TestCacheHitAllocationFree pins the read path at zero allocations per
 // hit — the //remicss:noalloc contract, enforced at runtime.
 func TestCacheHitAllocationFree(t *testing.T) {
-	c, _ := testCache(Options{Limited: true})
+	c, _ := testCache()
 	s := diverseSet()
-	if _, _, err := c.Optimize(s, 2, 3, ObjectiveRisk); err != nil {
+	req := Request{Set: s, Kappa: 2, Mu: 3, Obj: ObjectiveRisk, Limited: true}
+	if _, _, err := c.Solve(req); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		if e, ok := c.lookup(programSectionIVB, s, core.Correlation{}, 2, 3, ObjectiveRisk); !ok || e.sched == nil {
+		if _, tier, err := c.Solve(req); err != nil || tier != TierCached {
 			t.Fatal("lookup missed a cached state")
 		}
 	})
@@ -220,13 +220,13 @@ func TestCacheHitAllocationFree(t *testing.T) {
 // eviction counter.
 func TestCacheEviction(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := NewCache(CacheConfig{Options: Options{Limited: true}, MaxEntries: 8, Metrics: reg})
+	c := NewCache(CacheConfig{MaxEntries: 8, Metrics: reg})
 	s := diverseSet()
 
 	for i := 0; i < 20; i++ {
 		moved := append(core.Set(nil), s...)
 		moved[1].Risk = 0.10 + 0.02*float64(i)
-		if _, _, err := c.Optimize(moved, 2, 3, ObjectiveRisk); err != nil {
+		if _, _, err := cacheSchedule(c, Request{Set: moved, Kappa: 2, Mu: 3, Obj: ObjectiveRisk, Limited: true}); err != nil {
 			t.Fatal(err)
 		}
 		if c.Len() > 8 {
@@ -240,13 +240,13 @@ func TestCacheEviction(t *testing.T) {
 	// The most recent state must still be cached...
 	recent := append(core.Set(nil), s...)
 	recent[1].Risk = 0.10 + 0.02*19
-	if _, tier, err := c.Optimize(recent, 2, 3, ObjectiveRisk); err != nil {
+	if _, tier, err := cacheSchedule(c, Request{Set: recent, Kappa: 2, Mu: 3, Obj: ObjectiveRisk, Limited: true}); err != nil {
 		t.Fatal(err)
 	} else if tier != TierCached {
 		t.Fatalf("most recent state tier = %v, want cached", tier)
 	}
 	// ...and the oldest must have been evicted.
-	if _, tier, err := c.Optimize(s, 2, 3, ObjectiveRisk); err != nil {
+	if _, tier, err := cacheSchedule(c, Request{Set: s, Kappa: 2, Mu: 3, Obj: ObjectiveRisk, Limited: true}); err != nil {
 		t.Fatal(err)
 	} else if tier == TierCached {
 		t.Fatal("oldest state survived eviction in an 8-entry table after 20 inserts")
@@ -256,13 +256,13 @@ func TestCacheEviction(t *testing.T) {
 // TestCacheMaxRateKeyedSeparately: the IV-B and IV-D programs must not
 // alias each other in the table.
 func TestCacheMaxRateKeyedSeparately(t *testing.T) {
-	c, _ := testCache(Options{})
+	c, _ := testCache()
 	s := diverseSet()
-	ivb, _, err := c.Optimize(s, 2, 3, ObjectiveRisk)
+	ivb, _, err := cacheSchedule(c, Request{Set: s, Kappa: 2, Mu: 3, Obj: ObjectiveRisk})
 	if err != nil {
 		t.Fatal(err)
 	}
-	maxrate, tier, err := c.OptimizeAtMaxRate(s, 2, 3, ObjectiveRisk)
+	maxrate, tier, err := cacheSchedule(c, Request{Set: s, Kappa: 2, Mu: 3, Obj: ObjectiveRisk, MaxRate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,22 +274,25 @@ func TestCacheMaxRateKeyedSeparately(t *testing.T) {
 		// constraints change the optimum; equality means key aliasing.
 		t.Fatal("IV-B and max-rate programs returned identical schedules")
 	}
-	if _, tier, err := c.OptimizeAtMaxRate(s, 2, 3, ObjectiveRisk); err != nil {
+	if _, tier, err := cacheSchedule(c, Request{Set: s, Kappa: 2, Mu: 3, Obj: ObjectiveRisk, MaxRate: true}); err != nil {
 		t.Fatal(err)
 	} else if tier != TierCached {
 		t.Fatalf("repeated max-rate tier = %v, want cached", tier)
 	}
 }
 
-// TestCacheOptimizeLarge: the wide program is served by the same cache —
-// repeat states hit, the cached (schedule, members) pair matches the
-// uncached OptimizeLarge on the quantized set, and sub-grid drift aliases.
+// TestCacheOptimizeLarge: programs beyond the mask range are served by the
+// same cache — repeat states hit, the cached (schedule, members) pair
+// matches the uncached Solve on the quantized set, and sub-grid drift
+// aliases.
 func TestCacheOptimizeLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	s := randomSet(rng, 120)
-	c, reg := testCache(Options{Limited: true})
+	c, reg := testCache()
 
-	sched, members, tier, err := c.OptimizeLarge(s, 2.5, 3.5, ObjectiveRisk)
+	req := Request{Set: s, Kappa: 2.5, Mu: 3.5, Obj: ObjectiveRisk, Limited: true}
+	res, tier, err := c.Solve(req)
+	sched, members := res.Schedule, res.Members
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,11 +307,13 @@ func TestCacheOptimizeLarge(t *testing.T) {
 	// (random risks can sit near a cell boundary, so jitter the quantized
 	// values, which are cell centers by construction): cached, identical
 	// objects.
-	jittered := c.quantizeSet(s)
+	jittered := quantizeSet(s)
 	for j := range jittered {
 		jittered[j].Risk += (rng.Float64() - 0.5) * 0.004
 	}
-	sched2, members2, tier, err := c.OptimizeLarge(jittered, 2.5, 3.5, ObjectiveRisk)
+	req.Set = jittered
+	res2, tier, err := c.Solve(req)
+	sched2, members2 := res2.Schedule, res2.Members
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,13 +325,13 @@ func TestCacheOptimizeLarge(t *testing.T) {
 	}
 
 	// Against the uncached path on the quantized set.
-	qs := c.quantizeSet(s)
-	plain, plainMembers, err := OptimizeLarge(qs, 2.5, 3.5, ObjectiveRisk, Options{Limited: true})
+	req.Set = quantizeSet(s)
+	plain, err := Solve(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(sched, plain) || !reflect.DeepEqual(members, plainMembers) {
-		t.Fatal("cached large solve differs from OptimizeLarge on the quantized set")
+	if !reflect.DeepEqual(sched, plain.Schedule) || !reflect.DeepEqual(members, plain.Members) {
+		t.Fatal("cached large solve differs from Solve on the quantized set")
 	}
 
 	if hits := counterValue(t, reg, "remicss_schedule_cache_hits_total"); hits != 1 {
@@ -339,15 +344,14 @@ func TestCacheOptimizeLarge(t *testing.T) {
 func TestCacheTraceEvents(t *testing.T) {
 	tr := obs.NewTrace(64)
 	c := NewCache(CacheConfig{
-		Options: Options{Limited: true},
-		Trace:   tr,
-		Now:     func() time.Duration { return 42 * time.Millisecond },
+		Trace: tr,
+		Now:   func() time.Duration { return 42 * time.Millisecond },
 	})
 	s := diverseSet()
-	if _, _, err := c.Optimize(s, 2, 3, ObjectiveRisk); err != nil {
+	if _, _, err := cacheSchedule(c, Request{Set: s, Kappa: 2, Mu: 3, Obj: ObjectiveRisk, Limited: true}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Optimize(s, 2, 3, ObjectiveRisk); err != nil {
+	if _, _, err := cacheSchedule(c, Request{Set: s, Kappa: 2, Mu: 3, Obj: ObjectiveRisk, Limited: true}); err != nil {
 		t.Fatal(err)
 	}
 	events := tr.Snapshot(nil)
@@ -372,14 +376,14 @@ func TestCacheTraceEvents(t *testing.T) {
 func TestCacheMissAllocsIndependentOfFill(t *testing.T) {
 	const runs = 10
 	s := diverseSet()
-	filler := core.Uniform(core.Assignment{K: 1, Mask: 1})
+	filler := Result{Schedule: core.Uniform(core.Assignment{K: 1, Mask: 1})}
 	missAllocs := func(maxEntries int) float64 {
-		c := NewCache(CacheConfig{Options: Options{Limited: true}, MaxEntries: maxEntries})
+		c := NewCache(CacheConfig{MaxEntries: maxEntries})
 		c.mu.Lock()
 		for i := 0; i < maxEntries-runs-1; i++ {
-			qs := c.quantizeSet(s)
-			qs[4].Rate = float64(1000 + 10*i) // a cell no query below reaches
-			c.insert(programSectionIVB, qs, core.Correlation{}, 2, 3, ObjectiveRisk, filler, nil)
+			q := Request{Set: quantizeSet(s), Kappa: 2, Mu: 3, Obj: ObjectiveRisk, Limited: true}
+			q.Set[4].Rate = float64(1000 + 10*i) // a cell no query below reaches
+			c.insert(&q, filler)
 		}
 		c.mu.Unlock()
 		i := 0
@@ -387,7 +391,7 @@ func TestCacheMissAllocsIndependentOfFill(t *testing.T) {
 			q := append(core.Set(nil), s...)
 			q[0].Risk = 0.40 + 0.02*float64(i)
 			i++
-			if _, tier, err := c.Optimize(q, 2, 3, ObjectiveRisk); err != nil || tier == TierCached {
+			if _, tier, err := cacheSchedule(c, Request{Set: q, Kappa: 2, Mu: 3, Obj: ObjectiveRisk, Limited: true}); err != nil || tier == TierCached {
 				t.Fatalf("query %d: tier %v, err %v; want a miss", i, tier, err)
 			}
 		})
@@ -403,7 +407,7 @@ func TestCacheMissAllocsIndependentOfFill(t *testing.T) {
 // solve produced for exactly the state queried. Run with -race.
 func TestCacheHitsDuringEvictionRace(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := NewCache(CacheConfig{Options: Options{Limited: true}, MaxEntries: 8, Metrics: reg})
+	c := NewCache(CacheConfig{MaxEntries: 8, Metrics: reg})
 	s := diverseSet()
 	const states, goroutines, iters = 24, 4, 300
 	type result struct {
@@ -425,7 +429,7 @@ func TestCacheHitsDuringEvictionRace(t *testing.T) {
 				}
 				q := append(core.Set(nil), s...)
 				q[0].Risk = 0.05 + 0.02*float64(j)
-				sched, tier, err := c.Optimize(q, 2, 3, ObjectiveRisk)
+				sched, tier, err := cacheSchedule(c, Request{Set: q, Kappa: 2, Mu: 3, Obj: ObjectiveRisk, Limited: true})
 				if err != nil {
 					t.Error(err)
 					return
@@ -467,7 +471,7 @@ func TestCacheHitsDuringEvictionRace(t *testing.T) {
 // eviction counts the copy-on-write table this cache replaced gave.
 func TestCacheCountsPinned(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := NewCache(CacheConfig{Options: Options{Limited: true}, MaxEntries: 16, Metrics: reg})
+	c := NewCache(CacheConfig{MaxEntries: 16, Metrics: reg})
 	s := diverseSet()
 	rng := rand.New(rand.NewSource(12))
 	state := 0
@@ -476,7 +480,7 @@ func TestCacheCountsPinned(t *testing.T) {
 		q := append(core.Set(nil), s...)
 		q[0].Risk = 0.05 + 0.02*float64(state%8)
 		q[3].Loss = 0.01 + 0.01*float64(state/8)
-		if _, _, err := c.OptimizeAtMaxRate(q, 2, 3, ObjectiveRisk); err != nil {
+		if _, _, err := cacheSchedule(c, Request{Set: q, Kappa: 2, Mu: 3, Obj: ObjectiveRisk, MaxRate: true, Limited: true}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -2,6 +2,8 @@ package schedule
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -23,11 +25,11 @@ func TestOptimizeZeroCorrelationIdentical(t *testing.T) {
 	s := corrTestSet()
 	zero := core.Correlation{Groups: []core.RiskGroup{{Mask: 0b0011}}}
 	for _, obj := range []Objective{ObjectiveRisk, ObjectiveLoss, ObjectiveDelay} {
-		plain, err := Optimize(s, 2, 3, obj, Options{})
+		plain, err := solveSchedule(Request{Set: s, Kappa: 2, Mu: 3, Obj: obj})
 		if err != nil {
 			t.Fatalf("%v plain: %v", obj, err)
 		}
-		corr, err := Optimize(s, 2, 3, obj, Options{Correlation: &zero})
+		corr, err := solveSchedule(Request{Set: s, Kappa: 2, Mu: 3, Obj: obj, Corr: zero})
 		if err != nil {
 			t.Fatalf("%v correlated: %v", obj, err)
 		}
@@ -48,17 +50,17 @@ func TestOptimizeZeroCorrelationIdentical(t *testing.T) {
 func TestOptimizeCorrelationChangesRisk(t *testing.T) {
 	s := corrTestSet()
 	corr := core.Correlation{Groups: []core.RiskGroup{{Mask: 0b0011, RiskRho: 0.9}}}
-	plain, err := Optimize(s, 2, 2.5, ObjectiveRisk, Options{})
+	plain, err := solveSchedule(Request{Set: s, Kappa: 2, Mu: 2.5, Obj: ObjectiveRisk})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Optimize(s, 2, 2.5, ObjectiveRisk, Options{Correlation: &corr})
+	got, err := solveSchedule(Request{Set: s, Kappa: 2, Mu: 2.5, Obj: ObjectiveRisk, Corr: corr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The correlated schedule must beat the independent-optimal schedule
 	// under the correlated measure (it optimizes that measure directly).
-	if gz, pz := got.CorrelatedRisk(s, corr), plain.CorrelatedRisk(s, corr); gz > pz+1e-9 {
+	if gz, pz := got.Risk(s, corr), plain.Risk(s, corr); gz > pz+1e-9 {
 		t.Fatalf("correlated solve %v worse than independent schedule %v under correlated risk", gz, pz)
 	}
 }
@@ -70,7 +72,7 @@ func TestGroupExposureCapRespected(t *testing.T) {
 	s := corrTestSet()
 	corr := core.Correlation{Groups: []core.RiskGroup{{Mask: 0b0011, RiskRho: 0.9}}}
 
-	free, err := Optimize(s, 2, 2.5, ObjectiveRisk, Options{Correlation: &corr})
+	free, err := solveSchedule(Request{Set: s, Kappa: 2, Mu: 2.5, Obj: ObjectiveRisk, Corr: corr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,14 +82,14 @@ func TestGroupExposureCapRespected(t *testing.T) {
 	}
 
 	cap := e0 / 2
-	capped, err := Optimize(s, 2, 2.5, ObjectiveRisk, Options{Correlation: &corr, GroupExposureCap: cap})
+	capped, err := solveSchedule(Request{Set: s, Kappa: 2, Mu: 2.5, Obj: ObjectiveRisk, Corr: corr, GroupExposureCap: cap})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e := capped.GroupExposure(s, corr, 0); e > cap+1e-9 {
 		t.Fatalf("capped schedule group exposure %v above cap %v", e, cap)
 	}
-	if zc, zf := capped.CorrelatedRisk(s, corr), free.CorrelatedRisk(s, corr); zc < zf-1e-9 {
+	if zc, zf := capped.Risk(s, corr), free.Risk(s, corr); zc < zf-1e-9 {
 		t.Fatalf("capped objective %v better than unconstrained %v", zc, zf)
 	}
 	// Parameter constraints still hold alongside the new rows.
@@ -104,12 +106,11 @@ func TestGroupExposureCapRespected(t *testing.T) {
 func TestCorrelatedLimitedKeepsThresholdFloor(t *testing.T) {
 	s := corrTestSet()
 	corr := core.Correlation{Groups: []core.RiskGroup{{Mask: 0b0011, RiskRho: 0.9}}}
-	free, err := Optimize(s, 2.5, 3, ObjectiveRisk, Options{Limited: true, Correlation: &corr})
+	free, err := solveSchedule(Request{Set: s, Kappa: 2.5, Mu: 3, Obj: ObjectiveRisk, Limited: true, Corr: corr})
 	if err != nil {
 		t.Fatal(err)
 	}
-	capped, err := Optimize(s, 2.5, 3, ObjectiveRisk,
-		Options{Limited: true, Correlation: &corr, GroupExposureCap: 0.05})
+	capped, err := solveSchedule(Request{Set: s, Kappa: 2.5, Mu: 3, Obj: ObjectiveRisk, Limited: true, Corr: corr, GroupExposureCap: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestCorrelatedLimitedKeepsThresholdFloor(t *testing.T) {
 func TestMaxRateCorrelated(t *testing.T) {
 	s := corrTestSet()
 	corr := core.Correlation{Groups: []core.RiskGroup{{Mask: 0b0011, RiskRho: 0.8}}}
-	sched, err := OptimizeAtMaxRate(s, 2, 2.5, ObjectiveRisk, Options{Correlation: &corr})
+	sched, err := solveSchedule(Request{Set: s, Kappa: 2, Mu: 2.5, Obj: ObjectiveRisk, MaxRate: true, Corr: corr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,10 +140,10 @@ func TestMaxRateCorrelated(t *testing.T) {
 func TestCorrelationValidatedInBuild(t *testing.T) {
 	s := corrTestSet()
 	bad := core.Correlation{Groups: []core.RiskGroup{{Mask: 0b0011}, {Mask: 0b0110}}}
-	if _, err := Optimize(s, 2, 3, ObjectiveRisk, Options{Correlation: &bad}); err == nil {
+	if _, err := solveSchedule(Request{Set: s, Kappa: 2, Mu: 3, Obj: ObjectiveRisk, Corr: bad}); err == nil {
 		t.Fatal("overlapping groups accepted")
 	}
-	if _, err := OptimizeAtMaxRate(s, 2, 3, ObjectiveRisk, Options{Correlation: &bad}); err == nil {
+	if _, err := solveSchedule(Request{Set: s, Kappa: 2, Mu: 3, Obj: ObjectiveRisk, MaxRate: true, Corr: bad}); err == nil {
 		t.Fatal("overlapping groups accepted by max-rate")
 	}
 }
@@ -154,22 +155,22 @@ func TestCacheCorrelatedKeying(t *testing.T) {
 	s := corrTestSet()
 	c := NewCache(CacheConfig{})
 
-	if _, tier, err := c.Optimize(s, 2, 3, ObjectiveRisk); err != nil || tier == TierCached {
+	if _, tier, err := cacheSchedule(c, Request{Set: s, Kappa: 2, Mu: 3, Obj: ObjectiveRisk}); err != nil || tier == TierCached {
 		t.Fatalf("first solve: tier %v err %v", tier, err)
 	}
 	zero := core.Correlation{Groups: []core.RiskGroup{{Mask: 0b0011}}}
-	if _, tier, err := c.OptimizeCorrelated(s, zero, 2, 3, ObjectiveRisk); err != nil || tier != TierCached {
+	if _, tier, err := cacheSchedule(c, Request{Set: s, Corr: zero, Kappa: 2, Mu: 3, Obj: ObjectiveRisk}); err != nil || tier != TierCached {
 		t.Fatalf("zero model should share the uncorrelated entry: tier %v err %v", tier, err)
 	}
 
 	corr := core.Correlation{Groups: []core.RiskGroup{{Mask: 0b0011, RiskRho: 0.8}}}
-	sched1, tier, err := c.OptimizeCorrelated(s, corr, 2, 3, ObjectiveRisk)
+	sched1, tier, err := cacheSchedule(c, Request{Set: s, Corr: corr, Kappa: 2, Mu: 3, Obj: ObjectiveRisk})
 	if err != nil || tier == TierCached {
 		t.Fatalf("new rho should miss: tier %v err %v", tier, err)
 	}
 	// 0.81 quantizes to the same 0.05-step cell as 0.80.
 	drift := core.Correlation{Groups: []core.RiskGroup{{Mask: 0b0011, RiskRho: 0.81}}}
-	sched2, tier, err := c.OptimizeCorrelated(s, drift, 2, 3, ObjectiveRisk)
+	sched2, tier, err := cacheSchedule(c, Request{Set: s, Corr: drift, Kappa: 2, Mu: 3, Obj: ObjectiveRisk})
 	if err != nil || tier != TierCached {
 		t.Fatalf("in-cell rho drift should hit: tier %v err %v", tier, err)
 	}
@@ -178,7 +179,7 @@ func TestCacheCorrelatedKeying(t *testing.T) {
 	}
 	// 0.6 is a different cell: miss again.
 	far := core.Correlation{Groups: []core.RiskGroup{{Mask: 0b0011, RiskRho: 0.6}}}
-	if _, tier, err := c.OptimizeCorrelated(s, far, 2, 3, ObjectiveRisk); err != nil || tier == TierCached {
+	if _, tier, err := cacheSchedule(c, Request{Set: s, Corr: far, Kappa: 2, Mu: 3, Obj: ObjectiveRisk}); err != nil || tier == TierCached {
 		t.Fatalf("cross-cell rho should miss: tier %v err %v", tier, err)
 	}
 	if c.Len() != 3 {
@@ -191,24 +192,74 @@ func TestCacheCorrelatedKeying(t *testing.T) {
 func TestCacheCorrelatedMatchesOneShot(t *testing.T) {
 	s := corrTestSet()
 	corr := core.Correlation{Groups: []core.RiskGroup{{Mask: 0b0011, RiskRho: 0.8, LossRho: 0.4}}}
-	c := NewCache(CacheConfig{Options: Options{GroupExposureCap: 0.03}})
+	c := NewCache(CacheConfig{})
 	// Prime the solver with an unrelated program so the correlated solve
 	// exercises the warm path.
-	if _, _, err := c.Optimize(s, 2, 3, ObjectiveRisk); err != nil {
+	if _, _, err := cacheSchedule(c, Request{Set: s, Kappa: 2, Mu: 3, Obj: ObjectiveRisk}); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := c.OptimizeCorrelated(s, corr, 2, 2.5, ObjectiveRisk)
+	got, _, err := cacheSchedule(c, Request{Set: s, Corr: corr, Kappa: 2, Mu: 2.5, Obj: ObjectiveRisk, GroupExposureCap: 0.03})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Optimize(s, 2, 2.5, ObjectiveRisk, Options{Correlation: &corr, GroupExposureCap: 0.03})
+	want, err := solveSchedule(Request{Set: s, Kappa: 2, Mu: 2.5, Obj: ObjectiveRisk, Corr: corr, GroupExposureCap: 0.03})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gz, wz := got.CorrelatedRisk(s, corr), want.CorrelatedRisk(s, corr); math.Abs(gz-wz) > 1e-9 {
+	if gz, wz := got.Risk(s, corr), want.Risk(s, corr); math.Abs(gz-wz) > 1e-9 {
 		t.Fatalf("cached correlated risk %v != one-shot %v", gz, wz)
 	}
 	if e := got.GroupExposure(s, corr, 0); e > 0.03+1e-9 {
 		t.Fatalf("cached schedule violates group cap: %v", e)
 	}
+}
+
+// Beyond the mask range the correlation model must still price the
+// program, and the cache must key the model: a ρ=0.8 group over the four
+// least risky channels of a 40-channel set changes the risk optimum.
+func TestWideSolveHonorsCorrelation(t *testing.T) {
+	s := quantizeSet(randomSet(rand.New(rand.NewSource(8)), 40)) // on the cache grid
+	for i := 0; i < 4; i++ {
+		s[i].Risk = 0.02
+	}
+	corr := core.Correlation{Groups: []core.RiskGroup{{Mask: 0b1111, RiskRho: 0.8}}}
+	req := Request{Set: s, Kappa: 2, Mu: 3, Obj: ObjectiveRisk}
+	plain, err := Solve(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Corr = corr
+	priced, err := Solve(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(plain, priced) {
+		t.Fatal("the correlation model left the 40-channel optimum unchanged")
+	}
+
+	c := NewCache(CacheConfig{})
+	req.Corr = core.Correlation{}
+	if res, tier, err := c.Solve(req); err != nil || tier == TierCached || !reflect.DeepEqual(res, plain) {
+		t.Fatalf("independent request: tier %v err %v, or result differs from Solve", tier, err)
+	}
+	req.Corr = corr
+	res, tier, err := c.Solve(req)
+	if err != nil || tier == TierCached {
+		t.Fatalf("correlated request hit the independent entry: tier %v err %v", tier, err)
+	}
+	// The warm start may land on another optimal vertex; the optimum
+	// itself must agree.
+	if got, want := compactedRisk(s, corr, res), compactedRisk(s, corr, priced); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("cached correlated risk %v != Solve's %v", got, want)
+	}
+}
+
+// compactedRisk evaluates a compacted result's risk over its member
+// channels, with the model projected onto them.
+func compactedRisk(s core.Set, corr core.Correlation, res Result) float64 {
+	sub := make(core.Set, len(res.Members))
+	for li, i := range res.Members {
+		sub[li] = s[i]
+	}
+	return res.Schedule.Risk(sub, corr.Project(res.Members))
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"remicss/internal/core"
+	"remicss/internal/lp"
 )
 
 func randomSet(rng *rand.Rand, n int) core.Set {
@@ -33,11 +34,13 @@ func TestGeneratedWithinBoundOfExhaustive(t *testing.T) {
 		kappa, mu := 2+rng.Float64(), 3+rng.Float64()
 		for _, limited := range []bool{false, true} {
 			for _, obj := range []Objective{ObjectiveRisk, ObjectiveLoss, ObjectiveDelay} {
-				exact, err := Optimize(s, kappa, mu, obj, Options{Limited: limited})
+				exact, err := solveSchedule(Request{Set: s, Kappa: kappa, Mu: mu, Obj: obj, Limited: limited})
 				if err != nil {
 					t.Fatalf("seed %d: exhaustive: %v", seed, err)
 				}
-				gen, err := Optimize(s, kappa, mu, obj, Options{Limited: limited, Generate: &core.GenConfig{}})
+				req := Request{Set: s, Kappa: kappa, Mu: mu, Obj: obj, Limited: limited}
+				res, err := solveWith(req, core.GenerateChoices(s, kappa, mu, limited))
+				gen := res.Schedule
 				if err != nil {
 					t.Fatalf("seed %d: generated: %v", seed, err)
 				}
@@ -59,21 +62,21 @@ func TestGeneratedWithinBoundOfExhaustive(t *testing.T) {
 func objectiveValue(p core.Schedule, s core.Set, obj Objective) float64 {
 	switch obj {
 	case ObjectiveRisk:
-		return p.Risk(s)
+		return p.Risk(s, core.Correlation{})
 	case ObjectiveLoss:
-		return p.Loss(s)
+		return p.Loss(s, core.Correlation{})
 	default:
 		return p.Delay(s)
 	}
 }
 
 // TestEnumerateRoutesToGeneration: sets beyond exactEnumerationLimit must
-// transparently use generation inside Optimize and still produce a valid
+// transparently use generation inside Solve and still produce a valid
 // schedule meeting the parameter constraints.
 func TestEnumerateRoutesToGeneration(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	s := randomSet(rng, exactEnumerationLimit+4)
-	sched, err := Optimize(s, 2.5, 3.5, ObjectiveRisk, Options{Limited: true})
+	sched, err := solveSchedule(Request{Set: s, Kappa: 2.5, Mu: 3.5, Obj: ObjectiveRisk, Limited: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,22 +89,23 @@ func TestEnumerateRoutesToGeneration(t *testing.T) {
 }
 
 // TestOptimizeLargeHundredsOfChannels is the scale acceptance criterion:
-// n = 200 channels must produce a valid compacted schedule in under a
-// second.
+// Solve over n = 200 channels must produce a valid compacted schedule in
+// under a second.
 func TestOptimizeLargeHundredsOfChannels(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	s := randomSet(rng, 200)
 	kappa, mu := 2.5, 3.5
 
 	start := time.Now()
-	sched, members, err := OptimizeLarge(s, kappa, mu, ObjectiveRisk, Options{Limited: true})
+	res, err := Solve(Request{Set: s, Kappa: kappa, Mu: mu, Obj: ObjectiveRisk, Limited: true})
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if elapsed > time.Second {
-		t.Fatalf("OptimizeLarge for n=200 took %v, budget 1s", elapsed)
+		t.Fatalf("Solve for n=200 took %v, budget 1s", elapsed)
 	}
+	sched, members := res.Schedule, res.Members
 	if err := sched.Validate(len(members)); err != nil {
 		t.Fatal(err)
 	}
@@ -123,42 +127,49 @@ func TestOptimizeLargeHundredsOfChannels(t *testing.T) {
 	for li, i := range members {
 		sub[li] = s[i]
 	}
-	if r := sched.Risk(sub); r < 0 || r > 1 {
+	if r := sched.Risk(sub, core.Correlation{}); r < 0 || r > 1 {
 		t.Fatalf("compacted schedule risk %v outside [0,1]", r)
 	}
 }
 
-// TestOptimizeLargeMatchesOptimizeOnSmallSets: on sets small enough for the
-// mask path, OptimizeLarge must agree with the generated Optimize (same
-// candidates, same LP) modulo index compaction.
-func TestOptimizeLargeMatchesOptimizeOnSmallSets(t *testing.T) {
+// TestCompactedScheduleMatchesProgramOptimum: beyond the mask range the
+// optimum is compacted onto its support; the compacted schedule's loss
+// over the member channels must equal the optimum of the program itself.
+func TestCompactedScheduleMatchesProgramOptimum(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	s := randomSet(rng, 9)
-	kappa, mu := 2.2, 3.4
+	s := randomSet(rng, 30)
+	req := Request{Set: s, Kappa: 2.2, Mu: 3.4, Obj: ObjectiveLoss, Limited: true}
 
-	large, members, err := OptimizeLarge(s, kappa, mu, ObjectiveLoss, Options{Limited: true})
+	res, err := Solve(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := Optimize(s, kappa, mu, ObjectiveLoss, Options{Limited: true, Generate: &core.GenConfig{}})
+	if res.Members == nil {
+		t.Fatal("30-channel result not compacted")
+	}
+	prob, err := req.Program()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub := make(core.Set, len(members))
-	for li, i := range members {
+	sol, err := lp.Solve(prob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := make(core.Set, len(res.Members))
+	for li, i := range res.Members {
 		sub[li] = s[i]
 	}
-	if !almostEqual(large.Loss(sub), gen.Loss(s), 1e-9) {
-		t.Fatalf("OptimizeLarge loss %v != generated Optimize loss %v", large.Loss(sub), gen.Loss(s))
+	if got := res.Schedule.Loss(sub, core.Correlation{}); !almostEqual(got, sol.Objective, 1e-9) {
+		t.Fatalf("compacted schedule loss %v != program optimum %v", got, sol.Objective)
 	}
 }
 
-func BenchmarkOptimizeLarge200(b *testing.B) {
+func BenchmarkSolve200(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	s := randomSet(rng, 200)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := OptimizeLarge(s, 2.5, 3.5, ObjectiveRisk, Options{Limited: true}); err != nil {
+		if _, err := Solve(Request{Set: s, Kappa: 2.5, Mu: 3.5, Obj: ObjectiveRisk, Limited: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,17 +1,14 @@
 // Package schedule constructs share schedules: the categorical
 // distributions p(k, M) that drive a multichannel secret sharing protocol.
 //
-// It implements the two linear programs of the paper:
-//
-//   - Optimize (Section IV-B): minimize schedule risk, loss, or delay
-//     subject to the average threshold κ and multiplicity μ.
-//   - OptimizeAtMaxRate (Section IV-D): the same minimization with the
-//     per-channel utilization constraints that guarantee the schedule can
-//     transmit at the optimal multichannel rate R_C of Theorem 4.
-//
-// Both accept the Section IV-E "limited" restriction (k >= ⌊κ⌋ and
-// |M| >= ⌊μ⌋), which adapts the model to the MICSS/courier threat model in
-// which the adversary always controls a fixed set of channels.
+// One Request describes every linear program of the paper — Section IV-B
+// (minimize schedule risk, loss, or delay subject to the average threshold
+// κ and multiplicity μ), Section IV-D (MaxRate: the same minimization with
+// the per-channel utilization constraints that guarantee the optimal
+// multichannel rate R_C of Theorem 4), the Section IV-E limited choice set
+// (k >= ⌊κ⌋ and |M| >= ⌊μ⌋, for the MICSS/courier threat model), and the
+// correlated-adversary extension. Solve solves it from scratch;
+// Cache.Solve memoizes it by quantized channel state.
 //
 // The package also provides a Sampler that draws i.i.d. assignments from a
 // schedule, and Pack, the Figure-2 water-filling packer that converts
@@ -24,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"remicss/internal/core"
@@ -54,40 +52,53 @@ func (o Objective) String() string {
 	}
 }
 
-// Options modifies schedule construction.
-type Options struct {
+// Request is one schedule optimization: minimize Obj over the choice set
+// subject to the average threshold Kappa and the average multiplicity Mu
+// (Section IV-B), or, with MaxRate, to Kappa and the per-channel
+// utilization of the optimal rate R_C (Section IV-D).
+type Request struct {
+	// Set is the channel set the schedule spreads shares over.
+	Set core.Set
+	// Corr is the correlated-adversary model the risk and loss
+	// coefficients are priced under. The zero value is the paper's model
+	// of independent channels.
+	Corr      core.Correlation
+	Kappa, Mu float64
+	Obj       Objective
+	// MaxRate adds the Section IV-D constraints Σ_{(k,M): i∈M} p(k,M) =
+	// min{r_i/R_C, 1}, which force a schedule capable of the optimal rate
+	// R_C for Mu. They replace the μ row, which they imply (their sum is
+	// μ by Theorem 3), as in the paper's program.
+	MaxRate bool
 	// Limited restricts the choice set to M' (Section IV-E): k >= ⌊κ⌋ and
 	// |M| >= ⌊μ⌋, so that a threat model with a fixed set of compromised
 	// channels sees at least ⌊κ⌋ shares required for every symbol.
 	Limited bool
-	// Generate forces sampled/pruned candidate generation (see
-	// core.GenerateAssignments) with the given configuration instead of
-	// exhaustive enumeration. When nil, enumeration is exhaustive up to
-	// exactEnumerationLimit channels and generated beyond it.
-	Generate *core.GenConfig
-	// Correlation, when non-nil, builds the program under the
-	// correlated-adversary model: risk and loss objective coefficients use
-	// the common-cause mixture instead of the independent Poisson binomial,
-	// and — when GroupExposureCap is positive — one inequality row per
-	// shared-risk group bounds the schedule's group-attributable exposure
-	// Σ p(k,M)·e_g(k,M) ≤ cap, expressed in equality form with one
-	// zero-cost slack variable per group.
-	Correlation *core.Correlation
-	// GroupExposureCap is the per-group common-cause exposure bound; rows
-	// are added only when it is positive and Correlation has groups.
+	// GroupExposureCap, when positive, bounds each shared-risk group's
+	// common-cause exposure Σ p(k,M)·e_g(k,M) ≤ cap with one row per group
+	// of Corr, in equality form with one zero-cost slack column per group.
 	GroupExposureCap float64
 }
 
-// correlationRows reports whether the options call for group-exposure
-// constraint rows.
-func (o Options) correlationRows() bool {
-	return o.Correlation != nil && o.GroupExposureCap > 0 && len(o.Correlation.Groups) > 0
+// Result is a solved Request.
+type Result struct {
+	Schedule core.Schedule
+	// Members is nil when the schedule's masks index Set directly. For sets
+	// beyond core.MaxChannels the schedule is compacted onto the channels
+	// its support uses: bit i of a mask selects channel Members[i] of Set.
+	Members []int
+	// DKappa and DMu are the shadow prices of the κ and μ rows at the
+	// optimum: the marginal change of the optimal objective per unit
+	// increase of each. For ObjectiveRisk, DKappa is the (negative) price
+	// of privacy. DMu is zero for MaxRate requests, whose program has no μ
+	// row.
+	DKappa, DMu float64
 }
 
 // exactEnumerationLimit is the largest channel count for which the choice
 // set is enumerated exhaustively. Beyond it the exponential enumeration is
-// replaced by sampled/pruned generation with default GenConfig (the
-// schedules become approximate; see DESIGN §11 for the error bound).
+// replaced by sampled/pruned generation (core.GenerateChoices; the
+// schedules become approximate, see DESIGN §11 for the error bound).
 const exactEnumerationLimit = 12
 
 // ErrInfeasible means no share schedule satisfies the requested parameters.
@@ -97,132 +108,189 @@ var ErrInfeasible = errors.New("schedule: no feasible share schedule")
 // floating-point residue, not meaningful schedule entries.
 const probabilityFloor = 1e-9
 
-// Optimize solves the Section IV-B linear program: find the share schedule
-// minimizing the chosen objective with average threshold kappa and average
-// multiplicity mu over the set.
-func Optimize(s core.Set, kappa, mu float64, obj Objective, opts Options) (core.Schedule, error) {
-	sol, assignments, err := solveSectionIVB(s, kappa, mu, obj, opts)
+// Solve builds the request's linear program and solves it from scratch.
+func Solve(req Request) (Result, error) {
+	prob, choices, err := req.build()
 	if err != nil {
-		return nil, err
-	}
-	return solutionToSchedule(sol, assignments, s.N())
-}
-
-// Sensitivity reports the shadow prices of the parameter constraints of the
-// Section IV-B program at its optimum: the marginal change of the optimal
-// objective per unit increase of κ and of μ. For the risk objective,
-// dKappa is the (negative) "price of privacy" — how much schedule risk one
-// more unit of average threshold buys.
-func Sensitivity(s core.Set, kappa, mu float64, obj Objective, opts Options) (dKappa, dMu float64, err error) {
-	sol, _, err := solveSectionIVB(s, kappa, mu, obj, opts)
-	if err != nil {
-		return 0, 0, err
-	}
-	// Constraint order: Σp=1, κ, μ.
-	return sol.Duals[1], sol.Duals[2], nil
-}
-
-// solveSectionIVB builds and solves the Section IV-B program with a
-// one-shot solver.
-func solveSectionIVB(s core.Set, kappa, mu float64, obj Objective, opts Options) (lp.Solution, []core.Assignment, error) {
-	prob, assignments, err := buildSectionIVB(s, kappa, mu, obj, opts)
-	if err != nil {
-		return lp.Solution{}, nil, err
+		return Result{}, err
 	}
 	sol, err := lp.Solve(prob)
 	if err != nil {
-		return lp.Solution{}, nil, wrapLPError(err)
+		return Result{}, wrapLPError(err)
 	}
-	return sol, assignments, nil
+	return req.result(sol, choices)
 }
 
-// buildSectionIVB constructs the Section IV-B program: minimize the
-// objective over the choice set subject to Σp = 1, Σp·k = κ, Σp·|M| = μ.
-// The solve layer (one-shot, warm-started, or cached) is the caller's
-// choice.
-func buildSectionIVB(s core.Set, kappa, mu float64, obj Objective, opts Options) (lp.Problem, []core.Assignment, error) {
-	if err := s.Validate(); err != nil {
+// Program materializes the linear program Solve would run, without
+// solving it, so solver benchmarks (cmd/remicss-bench -schedule-json) can
+// time the solve layer on real schedule programs.
+func (r Request) Program() (lp.Problem, error) {
+	prob, _, err := r.build()
+	return prob, err
+}
+
+// build is the one program builder: it validates the request, produces
+// its choice set, and lays the program out over it.
+func (r Request) build() (lp.Problem, []core.Choice, error) {
+	s := r.Set
+	if len(s) == 0 {
+		return lp.Problem{}, nil, fmt.Errorf("%w: empty channel set", core.ErrInvalidChannel)
+	}
+	for i, c := range s {
+		if err := c.Validate(); err != nil {
+			return lp.Problem{}, nil, fmt.Errorf("channel %d: %w", i, err)
+		}
+	}
+	if err := s.CheckParams(r.Kappa, r.Mu); err != nil {
 		return lp.Problem{}, nil, err
 	}
-	if err := s.CheckParams(kappa, mu); err != nil {
+	if err := r.Corr.Validate(len(s)); err != nil {
 		return lp.Problem{}, nil, err
 	}
-	if err := validateCorrelation(s, opts); err != nil {
-		return lp.Problem{}, nil, err
-	}
-	assignments := enumerate(s, kappa, mu, opts)
-	if len(assignments) == 0 {
+	choices := r.choices()
+	if len(choices) == 0 {
 		return lp.Problem{}, nil, fmt.Errorf("%w: empty choice set", ErrInfeasible)
 	}
-
-	nv := len(assignments)
-	prob := lp.Problem{
-		C: objectiveCoefficients(s, assignments, obj, opts.Correlation),
-		A: make([][]float64, 0, 3),
-		B: make([]float64, 0, 3),
-	}
-	// Σ p = 1.
-	ones := make([]float64, nv)
-	for j := range ones {
-		ones[j] = 1
-	}
-	prob.A, prob.B = append(prob.A, ones), append(prob.B, 1)
-	// Σ p·k = κ.
-	ks := make([]float64, nv)
-	for j, a := range assignments {
-		ks[j] = float64(a.K)
-	}
-	prob.A, prob.B = append(prob.A, ks), append(prob.B, kappa)
-	// Σ p·|M| = μ.
-	ms := make([]float64, nv)
-	for j, a := range assignments {
-		ms[j] = float64(a.M())
-	}
-	prob.A, prob.B = append(prob.A, ms), append(prob.B, mu)
-	if opts.correlationRows() {
-		prob = addGroupExposureRows(prob, s, assignments, *opts.Correlation, opts.GroupExposureCap)
-	}
-	return prob, assignments, nil
+	prob, err := r.program(choices)
+	return prob, choices, err
 }
 
-// validateCorrelation checks Options.Correlation against the set.
-func validateCorrelation(s core.Set, opts Options) error {
-	if opts.Correlation == nil {
-		return nil
-	}
-	return opts.Correlation.Validate(s.N())
-}
-
-// addGroupExposureRows appends, per shared-risk group, the inequality
-// Σ_j e_g(k_j, M_j)·p_j ≤ cap in equality form: every existing row and the
-// objective are widened with one zero-cost slack column per group, and each
-// new row sets its slack coefficient to 1. The group-attributable exposure
-// e_g is linear in p (core.GroupExposure), which is what admits an LP row at
-// all; the full correlated risk is not linear per group because shock
-// patterns interact.
-func addGroupExposureRows(prob lp.Problem, s core.Set, assignments []core.Assignment, corr core.Correlation, cap float64) lp.Problem {
-	g := len(corr.Groups)
-	nv := len(prob.C)
-	wideC := make([]float64, nv+g)
-	copy(wideC, prob.C)
-	wideA := make([][]float64, 0, len(prob.A)+g)
-	for _, row := range prob.A {
-		wide := make([]float64, nv+g)
-		copy(wide, row)
-		wideA = append(wideA, wide)
-	}
-	wideB := make([]float64, len(prob.B), len(prob.B)+g)
-	copy(wideB, prob.B)
-	for gi := range corr.Groups {
-		row := make([]float64, nv+g)
-		for j, a := range assignments {
-			row[j] = s.GroupExposure(corr, gi, a.K, a.Mask)
+// program lays the linear program out over a choice set. Columns are the
+// choices in order, then one slack per group-exposure row; rows are Σp = 1,
+// Σp·k = κ, then Σp·|M| = μ or (MaxRate) one utilization row per channel,
+// then the group-exposure rows.
+func (r Request) program(choices []core.Choice) (lp.Problem, error) {
+	s := r.Set
+	var targets []float64
+	if r.MaxRate {
+		var err error
+		if targets, err = s.UtilizationTargets(r.Mu); err != nil {
+			return lp.Problem{}, err
 		}
-		row[nv+gi] = 1
-		wideA = append(wideA, row)
-		wideB = append(wideB, cap)
 	}
-	return lp.Problem{C: wideC, A: wideA, B: wideB}
+	nv := len(choices)
+	var groups int
+	if r.GroupExposureCap > 0 {
+		groups = len(r.Corr.Groups)
+	}
+	row := func(coef func(core.Choice) float64) []float64 {
+		a := make([]float64, nv+groups)
+		for j, ch := range choices {
+			a[j] = coef(ch)
+		}
+		return a
+	}
+	var prob lp.Problem
+	add := func(a []float64, b float64) { prob.A, prob.B = append(prob.A, a), append(prob.B, b) }
+
+	prob.C = row(func(ch core.Choice) float64 {
+		switch r.Obj {
+		case ObjectiveRisk:
+			return s.SubsetRisk(r.Corr, ch.K, ch.Members)
+		case ObjectiveLoss:
+			return s.SubsetLoss(r.Corr, ch.K, ch.Members)
+		case ObjectiveDelay:
+			return s.SubsetDelay(ch.K, ch.Members)
+		}
+		panic(fmt.Sprintf("schedule: unknown objective %d", int(r.Obj)))
+	})
+	add(row(func(core.Choice) float64 { return 1 }), 1)
+	add(row(func(ch core.Choice) float64 { return float64(ch.K) }), r.Kappa)
+	if r.MaxRate {
+		for i := range s {
+			add(row(func(ch core.Choice) float64 {
+				if slices.Contains(ch.Members, i) {
+					return 1
+				}
+				return 0
+			}), targets[i])
+		}
+	} else {
+		add(row(func(ch core.Choice) float64 { return float64(ch.M()) }), r.Mu)
+	}
+	for g := 0; g < groups; g++ {
+		a := row(func(ch core.Choice) float64 { return s.GroupExposure(r.Corr, g, ch.K, ch.Members) })
+		a[nv+g] = 1
+		add(a, r.GroupExposureCap)
+	}
+	return prob, nil
+}
+
+// choices produces the choice set: enumerated exhaustively (in
+// core.EnumerateAssignments order) up to exactEnumerationLimit channels,
+// generated beyond it.
+func (r Request) choices() []core.Choice {
+	n := len(r.Set)
+	if n > exactEnumerationLimit {
+		return core.GenerateChoices(r.Set, r.Kappa, r.Mu, r.Limited)
+	}
+	assignments := core.EnumerateAssignments(n)
+	if r.Limited {
+		assignments = core.EnumerateLimitedAssignments(n, r.Kappa, r.Mu)
+	}
+	out := make([]core.Choice, len(assignments))
+	for j, a := range assignments {
+		if j > 0 && a.Mask == assignments[j-1].Mask {
+			out[j] = core.Choice{K: a.K, Members: out[j-1].Members}
+		} else {
+			out[j] = core.Choice{K: a.K, Members: a.Members()}
+		}
+	}
+	return out
+}
+
+// result converts an LP solution into a validated schedule, dropping
+// floating-point residue and, beyond core.MaxChannels, compacting the
+// masks onto the union of the support's members.
+func (r Request) result(sol lp.Solution, choices []core.Choice) (Result, error) {
+	res := Result{DKappa: sol.Duals[1]}
+	if !r.MaxRate {
+		res.DMu = sol.Duals[2]
+	}
+	// Indices into choices; the group slack columns carry no mass.
+	var support []int
+	for j, p := range sol.X[:len(choices)] {
+		if p > probabilityFloor {
+			support = append(support, j)
+		}
+	}
+	n := len(r.Set)
+	local := func(i int) int { return i }
+	if n > core.MaxChannels {
+		for _, j := range support {
+			res.Members = append(res.Members, choices[j].Members...)
+		}
+		slices.Sort(res.Members)
+		res.Members = slices.Compact(res.Members)
+		if len(res.Members) > 32 {
+			return Result{}, fmt.Errorf("schedule: solution support spans %d channels, beyond mask range", len(res.Members))
+		}
+		n = len(res.Members)
+		local = func(i int) int {
+			li, _ := slices.BinarySearch(res.Members, i)
+			return li
+		}
+	}
+
+	sched := make(core.Schedule)
+	var total float64
+	for _, j := range support {
+		var mask uint32
+		for _, i := range choices[j].Members {
+			mask |= 1 << uint(local(i))
+		}
+		sched[core.Assignment{K: choices[j].K, Mask: mask}] += sol.X[j]
+		total += sol.X[j]
+	}
+	// Renormalize away the dropped residue so the schedule validates.
+	for a := range sched {
+		sched[a] /= total
+	}
+	if err := sched.Validate(n); err != nil {
+		return Result{}, fmt.Errorf("schedule: solver produced invalid schedule: %w", err)
+	}
+	res.Schedule = sched
+	return res, nil
 }
 
 // wrapLPError maps solver errors onto the package's error vocabulary.
@@ -231,154 +299,6 @@ func wrapLPError(err error) error {
 		return fmt.Errorf("%w: %v", ErrInfeasible, err)
 	}
 	return fmt.Errorf("schedule: %w", err)
-}
-
-// OptimizeAtMaxRate solves the Section IV-D linear program: minimize the
-// chosen objective subject to κ and to the per-channel utilization
-// constraints Σ_{(k,M): i∈M} p(k,M) = min{r_i/R_C, 1}, which force the
-// schedule to be capable of the optimal rate R_C for μ. The μ constraint is
-// implied by the utilization constraints (their sum is μ by Theorem 3), as
-// in the paper's program.
-func OptimizeAtMaxRate(s core.Set, kappa, mu float64, obj Objective, opts Options) (core.Schedule, error) {
-	prob, assignments, err := buildMaxRate(s, kappa, mu, obj, opts)
-	if err != nil {
-		return nil, err
-	}
-	return solveToSchedule(prob, assignments, s.N())
-}
-
-// buildMaxRate constructs the Section IV-D program (the Section IV-B
-// objective and normalization plus per-channel utilization constraints).
-func buildMaxRate(s core.Set, kappa, mu float64, obj Objective, opts Options) (lp.Problem, []core.Assignment, error) {
-	if err := s.Validate(); err != nil {
-		return lp.Problem{}, nil, err
-	}
-	if err := s.CheckParams(kappa, mu); err != nil {
-		return lp.Problem{}, nil, err
-	}
-	if err := validateCorrelation(s, opts); err != nil {
-		return lp.Problem{}, nil, err
-	}
-	targets, err := s.UtilizationTargets(mu)
-	if err != nil {
-		return lp.Problem{}, nil, err
-	}
-	assignments := enumerate(s, kappa, mu, opts)
-	if len(assignments) == 0 {
-		return lp.Problem{}, nil, fmt.Errorf("%w: empty choice set", ErrInfeasible)
-	}
-
-	nv := len(assignments)
-	n := s.N()
-	prob := lp.Problem{
-		C: objectiveCoefficients(s, assignments, obj, opts.Correlation),
-		A: make([][]float64, 0, 2+n),
-		B: make([]float64, 0, 2+n),
-	}
-	ones := make([]float64, nv)
-	for j := range ones {
-		ones[j] = 1
-	}
-	prob.A, prob.B = append(prob.A, ones), append(prob.B, 1)
-	ks := make([]float64, nv)
-	for j, a := range assignments {
-		ks[j] = float64(a.K)
-	}
-	prob.A, prob.B = append(prob.A, ks), append(prob.B, kappa)
-	for i := 0; i < n; i++ {
-		row := make([]float64, nv)
-		for j, a := range assignments {
-			if a.Mask&(1<<uint(i)) != 0 {
-				row[j] = 1
-			}
-		}
-		prob.A, prob.B = append(prob.A, row), append(prob.B, targets[i])
-	}
-	if opts.correlationRows() {
-		prob = addGroupExposureRows(prob, s, assignments, *opts.Correlation, opts.GroupExposureCap)
-	}
-	return prob, assignments, nil
-}
-
-// enumerate produces the choice set: exhaustively for small sets, by
-// sampled/pruned generation for large ones or when Options.Generate forces
-// it.
-func enumerate(s core.Set, kappa, mu float64, opts Options) []core.Assignment {
-	n := s.N()
-	if opts.Generate != nil || n > exactEnumerationLimit {
-		var cfg core.GenConfig
-		if opts.Generate != nil {
-			cfg = *opts.Generate
-		}
-		return core.GenerateAssignments(s, kappa, mu, opts.Limited, cfg)
-	}
-	if opts.Limited {
-		return core.EnumerateLimitedAssignments(n, kappa, mu)
-	}
-	return core.EnumerateAssignments(n)
-}
-
-// objectiveCoefficients computes the per-assignment objective costs. A
-// non-nil correlation model swaps the independent risk and loss formulas
-// for their common-cause mixtures (delay is unaffected: the model couples
-// observation and outage, not latency). With an all-zero model the
-// correlated formulas return the independent values bit-exactly, so the
-// program — and hence the schedule — is unchanged.
-func objectiveCoefficients(s core.Set, assignments []core.Assignment, obj Objective, corr *core.Correlation) []float64 {
-	c := make([]float64, len(assignments))
-	for j, a := range assignments {
-		switch obj {
-		case ObjectiveRisk:
-			if corr != nil {
-				c[j] = s.CorrelatedSubsetRisk(*corr, a.K, a.Mask)
-			} else {
-				c[j] = s.SubsetRisk(a.K, a.Mask)
-			}
-		case ObjectiveLoss:
-			if corr != nil {
-				c[j] = s.CorrelatedSubsetLoss(*corr, a.K, a.Mask)
-			} else {
-				c[j] = s.SubsetLoss(a.K, a.Mask)
-			}
-		case ObjectiveDelay:
-			c[j] = s.SubsetDelay(a.K, a.Mask)
-		default:
-			panic(fmt.Sprintf("schedule: unknown objective %d", int(obj)))
-		}
-	}
-	return c
-}
-
-func solveToSchedule(prob lp.Problem, assignments []core.Assignment, n int) (core.Schedule, error) {
-	sol, err := lp.Solve(prob)
-	if err != nil {
-		return nil, wrapLPError(err)
-	}
-	return solutionToSchedule(sol, assignments, n)
-}
-
-// solutionToSchedule converts an LP solution vector into a validated
-// schedule, dropping floating-point residue.
-func solutionToSchedule(sol lp.Solution, assignments []core.Assignment, n int) (core.Schedule, error) {
-	sched := make(core.Schedule)
-	var total float64
-	for j, p := range sol.X {
-		if j >= len(assignments) {
-			break // group-exposure slack columns carry no schedule mass
-		}
-		if p > probabilityFloor {
-			sched[assignments[j]] += p
-			total += p
-		}
-	}
-	// Renormalize away the dropped residue so the schedule validates.
-	for a := range sched {
-		sched[a] /= total
-	}
-	if err := sched.Validate(n); err != nil {
-		return nil, fmt.Errorf("schedule: solver produced invalid schedule: %w", err)
-	}
-	return sched, nil
 }
 
 // Sampler draws independent assignments from a share schedule via inverse

@@ -37,7 +37,7 @@ func TestOptimizeRespectsParams(t *testing.T) {
 	for _, obj := range []Objective{ObjectiveRisk, ObjectiveLoss, ObjectiveDelay} {
 		for _, km := range [][2]float64{{1, 1}, {1, 5}, {2, 3.5}, {2.7, 4.1}, {5, 5}} {
 			kappa, mu := km[0], km[1]
-			p, err := Optimize(s, kappa, mu, obj, Options{})
+			p, err := solveSchedule(Request{Set: s, Kappa: kappa, Mu: mu, Obj: obj})
 			if err != nil {
 				t.Fatalf("%v (κ=%v, μ=%v): %v", obj, kappa, mu, err)
 			}
@@ -54,23 +54,23 @@ func TestOptimizeRespectsParams(t *testing.T) {
 func TestOptimizeExtremesMatchClosedForms(t *testing.T) {
 	s := diverseSet()
 	// κ = μ = n: the only schedule is p(n, C) = 1, risk Π z_i.
-	p, err := Optimize(s, 5, 5, ObjectiveRisk, Options{})
+	p, err := solveSchedule(Request{Set: s, Kappa: 5, Mu: 5, Obj: ObjectiveRisk})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Risk(s); !almostEqual(got, s.MaxPrivacyRisk(), eps) {
+	if got := p.Risk(s, core.Correlation{}); !almostEqual(got, s.MaxPrivacyRisk(), eps) {
 		t.Errorf("risk at (5,5) = %v, want %v", got, s.MaxPrivacyRisk())
 	}
 	// κ = 1, μ = n: loss optimum is Π l_i.
-	p, err = Optimize(s, 1, 5, ObjectiveLoss, Options{})
+	p, err = solveSchedule(Request{Set: s, Kappa: 1, Mu: 5, Obj: ObjectiveLoss})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Loss(s); !almostEqual(got, s.MinLoss(), eps) {
+	if got := p.Loss(s, core.Correlation{}); !almostEqual(got, s.MinLoss(), eps) {
 		t.Errorf("loss at (1,5) = %v, want %v", got, s.MinLoss())
 	}
 	// κ = 1, μ = n: delay optimum is the MinDelay closed form.
-	p, err = Optimize(s, 1, 5, ObjectiveDelay, Options{})
+	p, err = solveSchedule(Request{Set: s, Kappa: 1, Mu: 5, Obj: ObjectiveDelay})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +84,11 @@ func TestOptimizeExtremesMatchClosedForms(t *testing.T) {
 func TestOptimizeBeatsOrMatchesNaive(t *testing.T) {
 	s := diverseSet()
 	kappa, mu := 2.0, 3.0
-	p, err := Optimize(s, kappa, mu, ObjectiveRisk, Options{})
+	p, err := solveSchedule(Request{Set: s, Kappa: kappa, Mu: mu, Obj: ObjectiveRisk})
 	if err != nil {
 		t.Fatal(err)
 	}
-	best := p.Risk(s)
+	best := p.Risk(s, core.Correlation{})
 	all := core.EnumerateAssignments(s.N())
 	for _, a := range all {
 		for _, b := range all {
@@ -108,7 +108,7 @@ func TestOptimizeBeatsOrMatchesNaive(t *testing.T) {
 			mix := core.Schedule{}
 			mix[a] += w
 			mix[b] += 1 - w
-			if r := mix.Risk(s); r < best-1e-7 {
+			if r := mix.Risk(s, core.Correlation{}); r < best-1e-7 {
 				t.Fatalf("mixture %v/%v has risk %v < LP optimum %v", a, b, r, best)
 			}
 		}
@@ -117,13 +117,13 @@ func TestOptimizeBeatsOrMatchesNaive(t *testing.T) {
 
 func TestOptimizeInfeasibleParams(t *testing.T) {
 	s := diverseSet()
-	if _, err := Optimize(s, 0.5, 3, ObjectiveRisk, Options{}); !errors.Is(err, core.ErrInvalidParams) {
+	if _, err := solveSchedule(Request{Set: s, Kappa: 0.5, Mu: 3, Obj: ObjectiveRisk}); !errors.Is(err, core.ErrInvalidParams) {
 		t.Errorf("kappa<1: got %v", err)
 	}
-	if _, err := Optimize(s, 3, 2, ObjectiveRisk, Options{}); !errors.Is(err, core.ErrInvalidParams) {
+	if _, err := solveSchedule(Request{Set: s, Kappa: 3, Mu: 2, Obj: ObjectiveRisk}); !errors.Is(err, core.ErrInvalidParams) {
 		t.Errorf("mu<kappa: got %v", err)
 	}
-	if _, err := Optimize(s, 1, 6, ObjectiveRisk, Options{}); !errors.Is(err, core.ErrInvalidParams) {
+	if _, err := solveSchedule(Request{Set: s, Kappa: 1, Mu: 6, Obj: ObjectiveRisk}); !errors.Is(err, core.ErrInvalidParams) {
 		t.Errorf("mu>n: got %v", err)
 	}
 }
@@ -131,7 +131,7 @@ func TestOptimizeInfeasibleParams(t *testing.T) {
 func TestOptimizeLimitedScheduleFloors(t *testing.T) {
 	s := diverseSet()
 	kappa, mu := 2.4, 3.6
-	p, err := Optimize(s, kappa, mu, ObjectiveRisk, Options{Limited: true})
+	p, err := solveSchedule(Request{Set: s, Kappa: kappa, Mu: mu, Obj: ObjectiveRisk, Limited: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestTheorem5LimitedAlwaysFeasible(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		kappa := 1 + rng.Float64()*4
 		mu := kappa + rng.Float64()*(5-kappa)
-		if _, err := Optimize(s, kappa, mu, ObjectiveRisk, Options{Limited: true}); err != nil {
+		if _, err := solveSchedule(Request{Set: s, Kappa: kappa, Mu: mu, Obj: ObjectiveRisk, Limited: true}); err != nil {
 			t.Fatalf("limited (κ=%v, μ=%v): %v", kappa, mu, err)
 		}
 	}
@@ -177,14 +177,14 @@ func TestSectionIVELimitedDelayGap(t *testing.T) {
 		{Delay: 9 * time.Second, Rate: 1},
 		{Delay: 10 * time.Second, Rate: 1},
 	}
-	limited, err := Optimize(s, 2, 3, ObjectiveDelay, Options{Limited: true})
+	limited, err := solveSchedule(Request{Set: s, Kappa: 2, Mu: 3, Obj: ObjectiveDelay, Limited: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := limited.Delay(s); !almostEqual(got, 9, eps) {
 		t.Errorf("limited delay = %v, want 9", got)
 	}
-	unlimited, err := Optimize(s, 2, 3, ObjectiveDelay, Options{})
+	unlimited, err := solveSchedule(Request{Set: s, Kappa: 2, Mu: 3, Obj: ObjectiveDelay})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestOptimizeAtMaxRateUtilization(t *testing.T) {
 	s := diverseSet()
 	for _, km := range [][2]float64{{1, 1.5}, {2, 2.5}, {2, 3.4}, {3, 4.2}, {1, 5}} {
 		kappa, mu := km[0], km[1]
-		p, err := OptimizeAtMaxRate(s, kappa, mu, ObjectiveLoss, Options{})
+		p, err := solveSchedule(Request{Set: s, Kappa: kappa, Mu: mu, Obj: ObjectiveLoss, MaxRate: true})
 		if err != nil {
 			t.Fatalf("(κ=%v, μ=%v): %v", kappa, mu, err)
 		}
@@ -227,23 +227,23 @@ func TestOptimizeAtMaxRateNoWorseThanUniform(t *testing.T) {
 	// must be no better than the unconstrained optimum.
 	s := diverseSet()
 	kappa, mu := 2.0, 3.0
-	constrained, err := OptimizeAtMaxRate(s, kappa, mu, ObjectiveRisk, Options{})
+	constrained, err := solveSchedule(Request{Set: s, Kappa: kappa, Mu: mu, Obj: ObjectiveRisk, MaxRate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	free, err := Optimize(s, kappa, mu, ObjectiveRisk, Options{})
+	free, err := solveSchedule(Request{Set: s, Kappa: kappa, Mu: mu, Obj: ObjectiveRisk})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if constrained.Risk(s) < free.Risk(s)-eps {
+	if constrained.Risk(s, core.Correlation{}) < free.Risk(s, core.Correlation{})-eps {
 		t.Errorf("constrained optimum %v better than unconstrained %v",
-			constrained.Risk(s), free.Risk(s))
+			constrained.Risk(s, core.Correlation{}), free.Risk(s, core.Correlation{}))
 	}
 }
 
 func TestSamplerMatchesDistribution(t *testing.T) {
 	s := diverseSet()
-	p, err := Optimize(s, 2, 3.5, ObjectiveRisk, Options{})
+	p, err := solveSchedule(Request{Set: s, Kappa: 2, Mu: 3.5, Obj: ObjectiveRisk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,19 +391,19 @@ func TestObjectiveString(t *testing.T) {
 	}
 }
 
-func BenchmarkOptimizeRisk(b *testing.B) {
+func BenchmarkSolveRisk(b *testing.B) {
 	s := diverseSet()
 	for i := 0; i < b.N; i++ {
-		if _, err := Optimize(s, 2, 3.5, ObjectiveRisk, Options{}); err != nil {
+		if _, err := solveSchedule(Request{Set: s, Kappa: 2, Mu: 3.5, Obj: ObjectiveRisk}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkOptimizeAtMaxRate(b *testing.B) {
+func BenchmarkSolveAtMaxRate(b *testing.B) {
 	s := diverseSet()
 	for i := 0; i < b.N; i++ {
-		if _, err := OptimizeAtMaxRate(s, 2, 3.5, ObjectiveLoss, Options{}); err != nil {
+		if _, err := solveSchedule(Request{Set: s, Kappa: 2, Mu: 3.5, Obj: ObjectiveLoss, MaxRate: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -411,7 +411,7 @@ func BenchmarkOptimizeAtMaxRate(b *testing.B) {
 
 func BenchmarkSampler(b *testing.B) {
 	s := diverseSet()
-	p, err := Optimize(s, 2, 3.5, ObjectiveRisk, Options{})
+	p, err := solveSchedule(Request{Set: s, Kappa: 2, Mu: 3.5, Obj: ObjectiveRisk})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -434,16 +434,17 @@ func TestSensitivityIsSubgradient(t *testing.T) {
 	s := diverseSet()
 	kappa, mu := 2.0, 3.0
 
-	dK, dM, err := Sensitivity(s, kappa, mu, ObjectiveRisk, Options{})
+	res, err := Solve(Request{Set: s, Kappa: kappa, Mu: mu, Obj: ObjectiveRisk})
 	if err != nil {
 		t.Fatal(err)
 	}
+	dK, dM := res.DKappa, res.DMu
 	at := func(k, m float64) float64 {
-		p, err := Optimize(s, k, m, ObjectiveRisk, Options{})
+		p, err := solveSchedule(Request{Set: s, Kappa: k, Mu: m, Obj: ObjectiveRisk})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return p.Risk(s)
+		return p.Risk(s, core.Correlation{})
 	}
 	base := at(kappa, mu)
 	for _, step := range []float64{0.05, -0.05, 0.2, -0.2} {
@@ -463,10 +464,11 @@ func TestSensitivityIsSubgradient(t *testing.T) {
 // TestSensitivityLossObjective sanity-checks the loss tradeoff directions.
 func TestSensitivityLossObjective(t *testing.T) {
 	s := diverseSet()
-	dK, dM, err := Sensitivity(s, 2, 3, ObjectiveLoss, Options{})
+	res, err := Solve(Request{Set: s, Kappa: 2, Mu: 3, Obj: ObjectiveLoss})
 	if err != nil {
 		t.Fatal(err)
 	}
+	dK, dM := res.DKappa, res.DMu
 	// Needing more shares (higher κ) makes loss worse; more redundancy
 	// (higher μ) makes it better.
 	if dK < -1e-9 {

@@ -50,7 +50,7 @@ func buildRepresentativeRegistry(t *testing.T) *remicss.MetricsRegistry {
 	// series plus the chooser's resolve-error counter.
 	resolveSet := remicss.ChannelSet{{Risk: 0.2, Loss: 0.01, Delay: time.Millisecond, Rate: 1000}}
 	if _, err := remicss.NewHealthChooser(1, 1, tracker, rand.New(rand.NewSource(2)),
-		remicss.ResolveSchedule(resolveSet, remicss.ObjectiveRisk)); err != nil {
+		remicss.ResolveSchedule(resolveSet, remicss.Correlation{}, remicss.ObjectiveRisk)); err != nil {
 		t.Fatal(err)
 	}
 	chooser, err := remicss.NewDynamicChooser(1, 1, rand.New(rand.NewSource(1)))

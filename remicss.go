@@ -16,14 +16,14 @@
 //	    {Risk: 0.3, Loss: 0.005, Delay: time.Millisecond, Rate: 500},
 //	}
 //	rc, _ := set.OptimalRate(2)                 // Theorem 4
-//	sched, _ := remicss.OptimizeScheduleAtMaxRate(set, 1.5, 2,
-//	    remicss.ObjectiveRisk, remicss.ScheduleOptions{})
-//	fmt.Println(rc, sched.Risk(set))
+//	res, _ := remicss.SolveSchedule(remicss.ScheduleRequest{
+//	    Set: set, Kappa: 1.5, Mu: 2, Obj: remicss.ObjectiveRisk, MaxRate: true})
+//	fmt.Println(rc, res.Schedule.Risk(set, remicss.Correlation{}))
 //
 // Closed forms and theorems from the paper are methods on ChannelSet
 // (MaxPrivacyRisk, MinLoss, MinDelay, MaxRate, OptimalRate, MuForRate,
-// FullUtilizationMaxMu); the Section IV-B and IV-D linear programs are
-// OptimizeSchedule and OptimizeScheduleAtMaxRate.
+// FullUtilizationMaxMu); the Section IV-B, IV-D and IV-E linear programs
+// are one ScheduleRequest solved by SolveSchedule.
 //
 // # Protocol
 //
@@ -89,45 +89,30 @@ const (
 	ObjectiveDelay = schedule.ObjectiveDelay
 )
 
-// ScheduleOptions modifies schedule optimization; Limited restricts the
-// choice set per Section IV-E for MICSS-style fixed-adversary threat
-// models.
-type ScheduleOptions = schedule.Options
+// ScheduleRequest is one schedule optimization: the channel set and its
+// correlation model, the (κ, μ) targets, the objective, and the program
+// options — MaxRate for the Section IV-D rate constraints, Limited for the
+// Section IV-E choice set, GroupExposureCap for per-group exposure rows.
+type ScheduleRequest = schedule.Request
 
-// OptimizeSchedule solves the Section IV-B linear program: the share
-// schedule minimizing the objective subject to average threshold kappa and
-// multiplicity mu.
-func OptimizeSchedule(set ChannelSet, kappa, mu float64, obj Objective, opts ScheduleOptions) (Schedule, error) {
-	return schedule.Optimize(set, kappa, mu, obj, opts)
-}
+// ScheduleResult is a solved ScheduleRequest: the schedule, its member
+// mapping for sets beyond the exact-enumeration cap, and the shadow prices
+// of the κ and μ rows.
+type ScheduleResult = schedule.Result
 
-// OptimizeScheduleAtMaxRate solves the Section IV-D linear program: the
-// same minimization constrained to schedules that achieve the optimal
-// multichannel rate R_C for mu.
-func OptimizeScheduleAtMaxRate(set ChannelSet, kappa, mu float64, obj Objective, opts ScheduleOptions) (Schedule, error) {
-	return schedule.OptimizeAtMaxRate(set, kappa, mu, obj, opts)
+// SolveSchedule solves a schedule request from scratch. Up to 12 channels
+// the choice set is enumerated exhaustively; beyond, candidates come from
+// greedy, sampled, and dominance-pruned subset generation, so the optimum
+// is approximate (within the bound DESIGN §11 documents). Beyond 22
+// channels the schedule is compacted onto the channels its support uses
+// (ScheduleResult.Members).
+func SolveSchedule(req ScheduleRequest) (ScheduleResult, error) {
+	return schedule.Solve(req)
 }
 
 // EnumerateAssignments lists every valid (k, M) for an n-channel set.
 func EnumerateAssignments(n int) []Assignment {
 	return core.EnumerateAssignments(n)
-}
-
-// ScheduleGenConfig tunes sampled/pruned candidate generation for large
-// channel sets: the zero value selects documented defaults. Set it on
-// ScheduleOptions.Generate to force generation below the exact-enumeration
-// cap, or pass it through OptimizeScheduleLarge.
-type ScheduleGenConfig = core.GenConfig
-
-// OptimizeScheduleLarge solves the Section IV-B program for channel sets
-// far beyond the exact-enumeration cap (hundreds of channels). Candidates
-// come from greedy, sampled, and dominance-pruned subset generation, so the
-// optimum is approximate — within the bound documented in DESIGN §11 of the
-// exhaustive optimum where both are computable. The returned schedule is
-// compacted onto the channels its support uses; members maps its local
-// indices back to ascending indices into set.
-func OptimizeScheduleLarge(set ChannelSet, kappa, mu float64, obj Objective, opts ScheduleOptions) (sched Schedule, members []int, err error) {
-	return schedule.OptimizeLarge(set, kappa, mu, obj, opts)
 }
 
 // ScheduleCache memoizes optimized share schedules keyed by quantized
@@ -137,8 +122,8 @@ func OptimizeScheduleLarge(set ChannelSet, kappa, mu float64, obj Objective, opt
 // path is lock- and allocation-free.
 type ScheduleCache = schedule.Cache
 
-// ScheduleCacheConfig tunes a ScheduleCache: the quantization grid, the
-// entry bound, the solve Options, and the observability sinks.
+// ScheduleCacheConfig tunes a ScheduleCache: the entry bound and the
+// observability sinks.
 type ScheduleCacheConfig = schedule.CacheConfig
 
 // SolveTier reports how a ScheduleCache resolved one request, cheapest
@@ -156,15 +141,6 @@ const (
 // NewScheduleCache builds a schedule cache.
 func NewScheduleCache(cfg ScheduleCacheConfig) *ScheduleCache {
 	return schedule.NewCache(cfg)
-}
-
-// ScheduleSensitivity reports the shadow prices of the κ and μ constraints
-// at the Section IV-B optimum: the marginal change of the optimal objective
-// per unit of each parameter. For ObjectiveRisk, dKappa is the (negative)
-// price of privacy — how much risk one more unit of average threshold buys
-// at this operating point.
-func ScheduleSensitivity(set ChannelSet, kappa, mu float64, obj Objective, opts ScheduleOptions) (dKappa, dMu float64, err error) {
-	return schedule.Sensitivity(set, kappa, mu, obj, opts)
 }
 
 // Protocol types re-exported from the reference implementation.
@@ -268,8 +244,14 @@ func NewHealthChooser(kappa, mu float64, tracker *HealthTracker, rng *rand.Rand,
 // retained simplex basis; failures surface as
 // remicss_chooser_resolve_errors_total and a resolve-error trace event
 // while the chooser falls back to clamping.
-func ResolveSchedule(set ChannelSet, obj Objective) HealthOption {
-	return remicss.Resolve(set, obj)
+//
+// corr prices shared-risk groups into the objective's risk and loss
+// coefficients, and each re-solve projects it onto the surviving channels;
+// the zero Correlation is the paper's independent model. Cache keys carry
+// the quantized correlation state, so correlated and independent schedules
+// never collide.
+func ResolveSchedule(set ChannelSet, corr Correlation, obj Objective) HealthOption {
+	return remicss.Resolve(set, corr, obj)
 }
 
 // RiskGroup is one shared-risk group of the correlated-adversary model: a
@@ -281,23 +263,15 @@ type RiskGroup = core.RiskGroup
 
 // Correlation is a correlated-adversary model: disjoint shared-risk groups
 // layered over the per-channel marginals. The zero value is the paper's
-// independence assumption; ChannelSet's Correlated* methods and the
-// schedule optimizers accept it to price shared conduits into risk and
-// loss. Marginals are preserved exactly — only joint behavior changes.
+// independence assumption; ChannelSet's SubsetRisk, SubsetLoss and
+// ObservedPMF, Schedule's Risk and Loss, and ScheduleRequest take it to
+// price shared conduits into risk and loss. Marginals are preserved
+// exactly — only joint behavior changes.
 type Correlation = core.Correlation
 
 // ErrInvalidCorrelation marks a correlation model that fails validation
 // (overlapping groups, out-of-range members, or rho outside [0, 1]).
 var ErrInvalidCorrelation = core.ErrInvalidCorrelation
-
-// ResolveScheduleCorrelated is ResolveSchedule under a correlated-adversary
-// model: every re-solve prices the shared-risk groups into the LP objective
-// and adds per-group exposure rows, with the model projected onto the
-// surviving channels on each failover. Cache keys carry the quantized
-// correlation state, so correlated and independent schedules never collide.
-func ResolveScheduleCorrelated(set ChannelSet, corr Correlation, obj Objective) HealthOption {
-	return remicss.ResolveCorrelated(set, corr, obj)
-}
 
 // LeakageConfig parameterizes the statistical-leakage model: the share
 // field width, the per-observed-share partial leakage λ in bits, and the
@@ -419,17 +393,17 @@ func (p Params) Profile(set ChannelSet) (Profile, error) {
 	}
 	prof := Profile{Params: p, Rate: rate}
 	for _, obj := range []Objective{ObjectiveRisk, ObjectiveLoss, ObjectiveDelay} {
-		sched, err := OptimizeScheduleAtMaxRate(set, p.Kappa, p.Mu, obj, ScheduleOptions{})
+		res, err := SolveSchedule(ScheduleRequest{Set: set, Kappa: p.Kappa, Mu: p.Mu, Obj: obj, MaxRate: true})
 		if err != nil {
 			return Profile{}, err
 		}
 		switch obj {
 		case ObjectiveRisk:
-			prof.Risk = sched.Risk(set)
+			prof.Risk = res.Schedule.Risk(set, Correlation{})
 		case ObjectiveLoss:
-			prof.Loss = sched.Loss(set)
+			prof.Loss = res.Schedule.Loss(set, Correlation{})
 		case ObjectiveDelay:
-			prof.Delay = time.Duration(sched.Delay(set) * float64(time.Second))
+			prof.Delay = time.Duration(res.Schedule.Delay(set) * float64(time.Second))
 		}
 	}
 	return prof, nil

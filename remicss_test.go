@@ -47,28 +47,32 @@ func TestFacadeModelMethods(t *testing.T) {
 
 func TestFacadeScheduleOptimization(t *testing.T) {
 	set := testSet()
-	sched, err := remicss.OptimizeSchedule(set, 2, 3, remicss.ObjectiveRisk, remicss.ScheduleOptions{})
+	res, err := remicss.SolveSchedule(remicss.ScheduleRequest{Set: set, Kappa: 2, Mu: 3, Obj: remicss.ObjectiveRisk})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sched.Kappa(); got < 1.99 || got > 2.01 {
+	if got := res.Schedule.Kappa(); got < 1.99 || got > 2.01 {
 		t.Errorf("kappa = %v", got)
 	}
-	atRate, err := remicss.OptimizeScheduleAtMaxRate(set, 2, 3, remicss.ObjectiveLoss, remicss.ScheduleOptions{})
+	req := remicss.ScheduleRequest{Set: set, Kappa: 2, Mu: 3, Obj: remicss.ObjectiveLoss, MaxRate: true}
+	atRate, err := remicss.SolveSchedule(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The max-rate schedule is more constrained, so its loss optimum is no
 	// better than the unconstrained loss optimum for the same parameters.
-	free, err := remicss.OptimizeSchedule(set, 2, 3, remicss.ObjectiveLoss, remicss.ScheduleOptions{})
+	req.MaxRate = false
+	free, err := remicss.SolveSchedule(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if atRate.Loss(set) < free.Loss(set)-1e-9 {
-		t.Errorf("constrained loss %v better than unconstrained %v", atRate.Loss(set), free.Loss(set))
+	none := remicss.Correlation{}
+	if atRate.Schedule.Loss(set, none) < free.Schedule.Loss(set, none)-1e-9 {
+		t.Errorf("constrained loss %v better than unconstrained %v", atRate.Schedule.Loss(set, none), free.Schedule.Loss(set, none))
 	}
 	// Invalid parameters surface the model's error.
-	if _, err := remicss.OptimizeSchedule(set, 0.2, 3, remicss.ObjectiveRisk, remicss.ScheduleOptions{}); !errors.Is(err, remicss.ErrInvalidParams) {
+	req.Kappa = 0.2
+	if _, err := remicss.SolveSchedule(req); !errors.Is(err, remicss.ErrInvalidParams) {
 		t.Errorf("got %v, want ErrInvalidParams", err)
 	}
 }
@@ -209,10 +213,11 @@ func TestDialUDPValidation(t *testing.T) {
 
 func TestScheduleSensitivityFacade(t *testing.T) {
 	set := testSet()
-	dK, dM, err := remicss.ScheduleSensitivity(set, 2, 3, remicss.ObjectiveRisk, remicss.ScheduleOptions{})
+	res, err := remicss.SolveSchedule(remicss.ScheduleRequest{Set: set, Kappa: 2, Mu: 3, Obj: remicss.ObjectiveRisk})
 	if err != nil {
 		t.Fatal(err)
 	}
+	dK, dM := res.DKappa, res.DMu
 	// Raising the threshold cannot worsen risk; raising multiplicity at
 	// fixed threshold exposes more shares and cannot improve it.
 	if dK > 1e-9 {
