@@ -15,7 +15,12 @@
 // perturbed problem (the adaptation path: one channel's (z, l, d, r) moved,
 // shifting the objective or the right-hand side) re-enters the simplex from
 // the prior optimal basis and converges in a handful of pivots instead of a
-// full two-phase run — see Solver.WarmSolve.
+// full two-phase run — see Solver.WarmSolve. When only the right-hand side
+// moved (a controller probing κ = 1, 2, … on one channel state),
+// Solver.Resolve takes the new b alone and restores primal feasibility by
+// dual simplex from the retained basis, which stays optimal because C did
+// not change. A cold solve of a program shaped like the last one reuses
+// the retained tableau buffers.
 package lp
 
 import (
@@ -177,6 +182,68 @@ func (t *tableau) optimize(cost []float64, allowedCols, maxIter int) (int, error
 		t.pivot(leave, enter)
 	}
 	return maxIter, fmt.Errorf("%w after %d iterations", ErrIterationLimit, maxIter)
+}
+
+// dualSimplex runs dual simplex iterations from a dual-feasible basis (no
+// column among the first n has a negative reduced cost under the cost the
+// basis is optimal for) until every row's right-hand side is at least
+// -feasibilityTolerance. The leaving row is the infeasible row whose basic
+// variable has the lowest index; the entering column, among the first n,
+// has the minimum ratio of reduced cost to the leaving row's negated
+// entry, ties to the lowest index — the dual form of Bland's rule. It
+// returns the number of pivots, and false if no column can enter (the
+// right-hand side is primal infeasible) or the iteration cap was hit.
+func (t *tableau) dualSimplex(cost []float64, n, maxIter int) (int, bool) {
+	for iter := 0; iter < maxIter; iter++ {
+		leave := -1
+		for i, row := range t.rows {
+			if row[t.cols] < -feasibilityTolerance && (leave == -1 || t.basis[i] < t.basis[leave]) {
+				leave = i
+			}
+		}
+		if leave == -1 {
+			return iter, true
+		}
+		row := t.rows[leave]
+		enter := -1
+		bestRatio := math.Inf(1)
+		for j := 0; j < n; j++ {
+			if row[j] >= -pivotTolerance || t.isBasic(j) {
+				continue
+			}
+			if ratio := math.Max(t.reducedCost(cost, j), 0) / -row[j]; ratio < bestRatio {
+				bestRatio = ratio
+				enter = j
+			}
+		}
+		if enter == -1 {
+			return iter, false
+		}
+		t.pivot(leave, enter)
+	}
+	return maxIter, false
+}
+
+// tiedColumn reports whether a nonbasic column among the first n prices
+// at zero under cost (reduced cost within pivotTolerance) and could enter
+// the basis with a positive step: pivoting it in would reach another
+// vertex with the same objective, so the optimum is not unique.
+func (t *tableau) tiedColumn(cost []float64, n int) bool {
+	for j := 0; j < n; j++ {
+		if t.isBasic(j) || t.reducedCost(cost, j) > pivotTolerance {
+			continue
+		}
+		step := math.Inf(1)
+		for _, row := range t.rows {
+			if row[j] > pivotTolerance {
+				step = math.Min(step, row[t.cols]/row[j])
+			}
+		}
+		if step > feasibilityTolerance {
+			return true
+		}
+	}
+	return false
 }
 
 func (t *tableau) isBasic(j int) bool {

@@ -16,7 +16,8 @@ const (
 	// objective moved, so phase 2 re-ran from the prior optimal vertex.
 	TierReuse Tier = iota
 	// TierRefresh: A unchanged but B moved; the right-hand side was
-	// recomputed through the retained B^{-1} and phase 2 re-ran.
+	// recomputed through the retained B^{-1}, then phase 2 re-ran
+	// (WarmSolve) or dual simplex restored primal feasibility (Resolve).
 	TierRefresh
 	// TierRefactor: the prior basis was re-pivoted onto a freshly built
 	// tableau (A changed or the retained tableau belonged to another
@@ -44,7 +45,8 @@ func (t Tier) String() string {
 
 // Stats describes the most recent solve on a Solver.
 type Stats struct {
-	// Pivots counts simplex pivots across both phases of the solve.
+	// Pivots counts simplex pivots across both phases of the solve, and
+	// Resolve's dual pivots.
 	Pivots int
 	// Tier is the reuse level the solve achieved.
 	Tier Tier
@@ -66,8 +68,10 @@ type Basis struct {
 type Solver struct {
 	t     tableau
 	signs []float64
+	c     []float64   // C the tableau was last optimized for (copy)
 	a     [][]float64 // A at factorization time (deep copy)
 	b     []float64   // B at factorization time
+	cost  []float64   // phase cost scratch, len n+m
 	n, m  int
 	valid bool
 
@@ -134,13 +138,62 @@ func (s *Solver) WarmSolve(prev *Basis, p Problem) (Solution, *Basis, error) {
 	return s.cold(p)
 }
 
+// Resolve re-solves the retained program at a new right-hand side b: the
+// C and A of the last Solve or WarmSolve, whose optimal basis is still
+// dual feasible because C did not change. It writes b through the retained
+// B^{-1} and runs dual simplex until the basis is primal feasible, which
+// is then optimal: the leaving row is the infeasible row whose basic
+// variable has the lowest index, the entering column the minimum ratio,
+// ties to the lowest index. It falls back to a cold solve of the retained
+// C and A at b, which is also what reports ErrInfeasible, when no column
+// can enter, when a redundant row (basic artificial) would need a nonzero
+// level, when no program is retained, and when the dual pivots end at a
+// tied optimum (a zero-priced column could enter with a positive step):
+// several vertices are then optimal, and the cold solve decides which one
+// is returned, as it would have without Resolve. The dual pivots count in
+// Stats.Pivots and the tier is TierRefresh, or TierCold on fallback.
+func (s *Solver) Resolve(b []float64) (Solution, *Basis, error) {
+	// p aliases the retained C and A; a cold fallback's factor copies them
+	// onto themselves, which the unchanged shape makes a no-op.
+	p := Problem{C: s.c, A: s.a, B: b}
+	if err := p.validate(); err != nil {
+		return Solution{}, nil, err
+	}
+	if !s.valid {
+		return s.cold(p)
+	}
+	n, cols := s.n, s.t.cols
+	for i, v := range s.rhsFor(b) {
+		if s.t.basis[i] >= n && math.Abs(v) > feasibilityTolerance {
+			return s.cold(p) // inconsistent redundant row
+		}
+		s.t.rows[i][cols] = v
+	}
+	copy(s.cost, s.c)
+	clear(s.cost[n:])
+	pivots, ok := s.t.dualSimplex(s.cost, n, s.iterationCap())
+	if !ok || (pivots > 0 && s.t.tiedColumn(s.cost, n)) {
+		return s.cold(p)
+	}
+	for _, row := range s.t.rows {
+		if row[cols] < 0 {
+			row[cols] = 0
+		}
+	}
+	copy(s.b, b)
+	sol, basis, err := s.phase2(p, TierRefresh)
+	s.stats.Pivots += pivots
+	return sol, basis, err
+}
+
 // cold performs the full two-phase solve, replacing the retained state.
 func (s *Solver) cold(p Problem) (Solution, *Basis, error) {
 	n := len(p.C)
 	s.factor(p)
 
 	// Phase 1: minimize the sum of artificial variables.
-	phase1Cost := make([]float64, s.t.cols)
+	phase1Cost := s.cost
+	clear(phase1Cost[:n])
 	for j := n; j < s.t.cols; j++ {
 		phase1Cost[j] = 1
 	}
@@ -166,20 +219,30 @@ func (s *Solver) cold(p Problem) (Solution, *Basis, error) {
 
 // factor builds the initial normalized tableau (original columns, one
 // artificial per row, b >= 0 enforced by row negation) and records copies
-// of A and B for later change detection.
+// of C, A and B for Resolve and later change detection. The buffers of the
+// previous factorization are reused when the shape (n, m) is unchanged.
 func (s *Solver) factor(p Problem) {
 	n := len(p.C)
 	m := len(p.A)
-	s.t = tableau{
-		rows:  make([][]float64, m),
-		basis: make([]int, m),
-		cols:  n + m,
+	if len(s.c) != n || len(s.t.rows) != m {
+		s.t = tableau{rows: make([][]float64, m), basis: make([]int, m)}
+		for i := range s.t.rows {
+			s.t.rows[i] = make([]float64, n+m+1)
+		}
+		s.signs = make([]float64, m)
+		s.c = make([]float64, n)
+		s.a = make([][]float64, m)
+		for i := range s.a {
+			s.a[i] = make([]float64, n)
+		}
+		s.b = make([]float64, m)
+		s.cost = make([]float64, n+m)
 	}
-	s.signs = make([]float64, m)
-	s.a = make([][]float64, m)
-	s.b = make([]float64, m)
+	s.t.cols = n + m
+	copy(s.c, p.C)
 	for i := 0; i < m; i++ {
-		row := make([]float64, s.t.cols+1)
+		row := s.t.rows[i]
+		clear(row)
 		sign := 1.0
 		if p.B[i] < 0 {
 			sign = -1
@@ -190,10 +253,9 @@ func (s *Solver) factor(p Problem) {
 		}
 		row[n+i] = 1
 		row[s.t.cols] = sign * p.B[i]
-		s.t.rows[i] = row
 		s.t.basis[i] = n + i
 
-		s.a[i] = append([]float64(nil), p.A[i]...)
+		copy(s.a[i], p.A[i])
 		s.b[i] = p.B[i]
 	}
 	s.n, s.m = n, m
@@ -207,22 +269,12 @@ func (s *Solver) factor(p Problem) {
 // artificial) would need a nonzero level, which makes the new system
 // inconsistent under the retained basis.
 func (s *Solver) refreshRHS(bNew []float64) bool {
-	n, m := s.n, s.m
-	rhs := make([]float64, m)
-	for i := 0; i < m; i++ {
-		var v float64
-		for j := 0; j < m; j++ {
-			if c := s.t.rows[i][n+j]; c != 0 {
-				v += c * s.signs[j] * bNew[j]
-			}
-		}
-		rhs[i] = v
-	}
+	rhs := s.rhsFor(bNew)
 	for i, v := range rhs {
 		if v < -feasibilityTolerance {
 			return false
 		}
-		if s.t.basis[i] >= n && v > feasibilityTolerance {
+		if s.t.basis[i] >= s.n && v > feasibilityTolerance {
 			return false
 		}
 		if v < 0 {
@@ -234,6 +286,23 @@ func (s *Solver) refreshRHS(bNew []float64) bool {
 	}
 	copy(s.b, bNew)
 	return true
+}
+
+// rhsFor computes the basic solution B^{-1} b of the retained basis at a
+// new right-hand side, through the artificial columns n..n+m-1.
+func (s *Solver) rhsFor(bNew []float64) []float64 {
+	n, m := s.n, s.m
+	rhs := make([]float64, m)
+	for i := 0; i < m; i++ {
+		var v float64
+		for j := 0; j < m; j++ {
+			if c := s.t.rows[i][n+j]; c != 0 {
+				v += c * s.signs[j] * bNew[j]
+			}
+		}
+		rhs[i] = v
+	}
+	return rhs
 }
 
 // refactor rebuilds a fresh tableau for p and pivots the prior basis into
@@ -279,8 +348,13 @@ func (s *Solver) refactor(prev *Basis, p Problem) (Solution, *Basis, error, bool
 // snapshot. It records the solve stats for the given tier.
 func (s *Solver) phase2(p Problem, tier Tier) (Solution, *Basis, error) {
 	n, m := s.n, s.m
-	phase2Cost := make([]float64, s.t.cols)
+	// Record the cost the tableau is now optimized for: WarmSolve's reuse
+	// and refresh tiers change C without refactoring, and Resolve continues
+	// under s.c. (On Resolve, p.C aliases s.c.)
+	copy(s.c, p.C)
+	phase2Cost := s.cost
 	copy(phase2Cost, p.C)
+	clear(phase2Cost[n:])
 	pivots, err := s.t.optimize(phase2Cost, n, s.iterationCap())
 	s.stats = Stats{Pivots: pivots, Tier: tier}
 	if err != nil {

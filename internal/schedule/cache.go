@@ -91,7 +91,10 @@ func (e *cacheEntry) ID() uint64 { return e.hash } // the table key
 // state, so steady-state adaptation (health failover, controller retuning)
 // is a lock-free lookup instead of a linear-program solve. Misses fall back
 // to a warm-started simplex re-solve on the retained basis, then to a cold
-// solve — the three tiers of the solve path.
+// solve — the three tiers of the solve path. A miss whose program differs
+// from the last one solved only in its right-hand side (κ, μ, the
+// utilization targets or the group cap) skips the builder and re-enters
+// the retained factorization by dual simplex (lp.Solver.Resolve).
 //
 // The read path takes no locks and performs no allocation: it hashes the
 // quantized channel state, loads its chain from a lock-free shardix.Table,
@@ -99,18 +102,21 @@ func (e *cacheEntry) ID() uint64 { return e.hash } // the table key
 // mutex and publish one table slot each, whatever the fill. Schedules
 // returned by the cache are shared and must not be mutated by callers.
 //
-// Because solves run on the quantized channel values, any two states that
-// quantize equally produce byte-identical schedules — across goroutines and
-// across cache instances with the same grid.
+// Solves run on the quantized channel values, so any two states that
+// quantize equally get the same cached schedule from one cache, across
+// goroutines. Two caches with different miss histories agree on the
+// optimal objective but not always on the bits: a warm re-entry reaches
+// the optimum by other pivots than a cold solve, which can move the last
+// bits of a probability and, where the optimum is tied, land on another
+// optimal schedule.
 type Cache struct {
 	cfg   CacheConfig
 	table shardix.Table[cacheEntry, *cacheEntry] // state hash → chain head; written under mu
 	gen   atomic.Uint64
 
-	mu     sync.Mutex // serializes the miss path
-	count  int        // entries in table; written under mu
-	solver *lp.Solver // guarded by mu
-	basis  *lp.Basis  // guarded by mu
+	mu    sync.Mutex // serializes the miss path
+	count int        // entries in table; written under mu
+	miss  *missState // guarded by mu; nil until the first miss
 
 	hits       *obs.Counter
 	misses     *obs.Counter
@@ -119,12 +125,24 @@ type Cache struct {
 	warmPivots *obs.Counter
 }
 
+// missState is what the miss path keeps between solves: the solver with
+// the factorization of the last program solved, the basis to warm-start
+// from, and that program's quantized request and choice set, which
+// identify its coefficients. choices is nil when the solver holds no
+// program Resolve may continue from.
+type missState struct {
+	solver  *lp.Solver
+	basis   *lp.Basis
+	last    Request
+	choices []core.Choice
+}
+
 // NewCache builds a schedule cache.
 func NewCache(cfg CacheConfig) *Cache {
 	if cfg.MaxEntries <= 0 {
 		cfg.MaxEntries = 1024
 	}
-	c := &Cache{cfg: cfg, solver: lp.NewSolver()}
+	c := &Cache{cfg: cfg}
 	if reg := c.cfg.Metrics; reg != nil {
 		c.hits = reg.Counter("remicss_schedule_cache_hits_total")
 		c.misses = reg.Counter("remicss_schedule_cache_misses_total")
@@ -166,11 +184,7 @@ func (c *Cache) Solve(req Request) (Result, SolveTier, error) {
 	q := req
 	q.Set = quantizeSet(req.Set)
 	q.Corr = quantizeCorr(req.Corr)
-	prob, choices, err := q.build()
-	if err != nil {
-		return Result{}, TierCold, err
-	}
-	sol, tier, err := c.warmSolve(prob)
+	sol, choices, tier, err := c.solveMiss(&q)
 	if err != nil {
 		return Result{}, TierCold, err
 	}
@@ -184,27 +198,56 @@ func (c *Cache) Solve(req Request) (Result, SolveTier, error) {
 	return res, tier, nil
 }
 
-// warmSolve runs one program through the retained solver and classifies the
-// outcome as a warm or cold tier, advancing the warm counters. Caller holds
-// c.mu.
+// solveMiss solves the quantized request q on the retained solver: by
+// Resolve when q's coefficients are those of the last program solved, by
+// WarmSolve from the retained basis otherwise. It classifies the outcome
+// as a warm or cold tier, advancing the warm counters. Caller holds c.mu.
 //
 //lint:allow mutexguard the one call site (Solve) holds c.mu across the call
-func (c *Cache) warmSolve(prob lp.Problem) (lp.Solution, SolveTier, error) {
-	sol, basis, err := c.solver.WarmSolve(c.basis, prob)
-	if err != nil {
-		c.basis = nil
-		return lp.Solution{}, TierCold, wrapLPError(err)
+func (c *Cache) solveMiss(q *Request) (lp.Solution, []core.Choice, SolveTier, error) {
+	m := c.miss
+	if m == nil {
+		m = &missState{solver: lp.NewSolver()}
+		c.miss = m
 	}
-	c.basis = basis
+	var (
+		sol     lp.Solution
+		basis   *lp.Basis
+		choices []core.Choice
+		err     error
+	)
+	if m.choices != nil && sameCoefficients(&m.last, q) {
+		// The set and model were validated when the memo was built.
+		if err = q.Set.CheckParams(q.Kappa, q.Mu); err != nil {
+			return lp.Solution{}, nil, TierCold, err
+		}
+		var b []float64
+		if b, err = q.rhs(); err != nil {
+			return lp.Solution{}, nil, TierCold, err
+		}
+		choices = m.choices
+		sol, basis, err = m.solver.Resolve(b)
+	} else {
+		var prob lp.Problem
+		if prob, choices, err = q.build(); err != nil {
+			return lp.Solution{}, nil, TierCold, err
+		}
+		sol, basis, err = m.solver.WarmSolve(m.basis, prob)
+	}
+	if err != nil {
+		m.basis, m.choices = nil, nil
+		return lp.Solution{}, nil, TierCold, wrapLPError(err)
+	}
+	m.basis, m.last, m.choices = basis, *q, choices
 	tier := TierCold
-	if st := c.solver.LastStats(); st.Tier != lp.TierCold {
+	if st := m.solver.LastStats(); st.Tier != lp.TierCold {
 		tier = TierWarm
 		if c.warmSolves != nil {
 			c.warmSolves.Inc()
 			c.warmPivots.Add(int64(st.Pivots))
 		}
 	}
-	return sol, tier, nil
+	return sol, choices, tier, nil
 }
 
 // requestFlags packs a request's program options for its key.

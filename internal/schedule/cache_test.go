@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"remicss/internal/core"
+	"remicss/internal/lp"
 	"remicss/internal/obs"
 )
 
@@ -496,4 +498,219 @@ func TestCacheCountsPinned(t *testing.T) {
 	if c.Len() != 16 {
 		t.Errorf("Len() = %d, want 16", c.Len())
 	}
+}
+
+// TestCacheRetuneProbePattern drives one cache through an adaptive
+// controller's probe pattern — MaxRate at κ = 1…5 with μ = max(μ₀, κ) —
+// over drifted states of a 5-channel set. Every result must match an
+// uncached Solve: its risk, loss and delay within 1e-9, and its κ shadow
+// price within 1e-9 or, at a degenerate optimum where the shadow price is
+// any subgradient of the optimal value, a valid subgradient. Every miss
+// whose coefficients match the last program's must re-enter the retained
+// factorization warm, unless the optimum is tied (then it solves cold so
+// the schedule is the one a cold solve picks). The hit path stays
+// allocation-free.
+func TestCacheRetuneProbePattern(t *testing.T) {
+	c := NewCache(CacheConfig{})
+	base := core.Set{
+		{Risk: 0.05, Loss: 0.01, Delay: 10 * time.Millisecond, Rate: 1000},
+		{Risk: 0.10, Loss: 0.02, Delay: 20 * time.Millisecond, Rate: 800},
+		{Risk: 0.15, Loss: 0.03, Delay: 30 * time.Millisecond, Rate: 600},
+		{Risk: 0.20, Loss: 0.05, Delay: 40 * time.Millisecond, Rate: 400},
+		{Risk: 0.30, Loss: 0.08, Delay: 50 * time.Millisecond, Rate: 200},
+	}
+	rng := rand.New(rand.NewSource(14))
+	var memoWarm, memoTied, subgradients int
+	var req Request
+	for state := 0; state < 40; state++ {
+		s := append(core.Set(nil), base...)
+		for i := range s {
+			s[i].Risk += 0.01 * float64(rng.Intn(9)-4)
+			s[i].Loss += 0.01 * float64(rng.Intn(3))
+			s[i].Delay += 5 * time.Millisecond * time.Duration(rng.Intn(3))
+			s[i].Rate += 10 * float64(rng.Intn(11)-5)
+		}
+		s = quantizeSet(s)
+		mu0 := []float64{1, 2.5, 3.5, 4.2}[state%4]
+		for kappa := 1.0; kappa <= 5; kappa++ {
+			req = Request{Set: s, Kappa: kappa, Mu: math.Max(mu0, kappa), Obj: ObjectiveRisk, MaxRate: true}
+			q := req
+			q.Set = quantizeSet(s)
+			memo := c.miss != nil && c.miss.choices != nil && sameCoefficients(&c.miss.last, &q)
+			got, tier, err := c.Solve(req)
+			if err != nil {
+				t.Fatalf("state %d κ=%v: %v", state, kappa, err)
+			}
+			want, err := Solve(req)
+			if err != nil {
+				t.Fatalf("state %d κ=%v: uncached: %v", state, kappa, err)
+			}
+			switch {
+			case !memo || tier == TierCached:
+			case tier == TierWarm:
+				memoWarm++
+			case alternativeMass(t, q) > 1e-6:
+				memoTied++
+			default:
+				t.Errorf("state %d κ=%v: a miss matching the last program's coefficients solved %v with a unique optimum, want warm", state, kappa, tier)
+			}
+			for _, m := range []struct {
+				name      string
+				got, want float64
+			}{
+				{"risk", got.Schedule.Risk(s, core.Correlation{}), want.Schedule.Risk(s, core.Correlation{})},
+				{"loss", got.Schedule.Loss(s, core.Correlation{}), want.Schedule.Loss(s, core.Correlation{})},
+				{"delay", got.Schedule.Delay(s), want.Schedule.Delay(s)},
+			} {
+				if !almostEqual(m.got, m.want, 1e-9) {
+					t.Errorf("state %d κ=%v (%v): cached %s %v, uncached %v", state, kappa, tier, m.name, m.got, m.want)
+				}
+			}
+			if almostEqual(got.DKappa, want.DKappa, 1e-9) {
+				continue
+			}
+			subgradients++
+			v := want.Schedule.Risk(s, core.Correlation{})
+			for _, step := range []float64{0.05, -0.05, 0.3, -0.3} {
+				r := req
+				r.Kappa += step
+				at, err := Solve(r)
+				if err != nil {
+					continue // κ+step outside [1, μ]
+				}
+				if vs := at.Schedule.Risk(s, core.Correlation{}); vs < v+got.DKappa*step-1e-9 {
+					t.Errorf("state %d κ=%v (%v): cached DKappa %v (uncached %v) is no subgradient: V(κ%+v) = %v < %v",
+						state, kappa, tier, got.DKappa, want.DKappa, step, vs, v+got.DKappa*step)
+				}
+			}
+		}
+	}
+	if memoWarm == 0 {
+		t.Fatal("no miss re-entered the last program warm")
+	}
+	t.Logf("coefficient-matching misses: %d warm, %d tied and solved cold; %d κ shadow prices are another subgradient than the uncached one",
+		memoWarm, memoTied, subgradients)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, tier, err := c.Solve(req); err != nil || tier != TierCached {
+			t.Fatal("lookup missed a cached state")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("cache hit allocates %v per run, want 0", allocs)
+	}
+}
+
+// TestCacheMemoAcrossObjectiveSwitches drives one cache through requests
+// on one quantized 5-channel set and model whose objective, MaxRate flag
+// and group cap switch now and then while κ and μ walk a grid, so that
+// misses alternate between WarmSolve (a new objective re-runs phase 2 on
+// the retained tableau) and Resolve (only B moved since). Every result
+// must be as good as an uncached Solve's: the same error, or the same
+// objective value within 1e-9 at the requested κ. It opens with risk →
+// loss → loss at κ+1 on one state: the loss request leaves the retained
+// tableau optimized for loss costs, and the Resolve after it must price
+// with those, not with the risk costs of the last cold solve.
+func TestCacheMemoAcrossObjectiveSwitches(t *testing.T) {
+	s := quantizeSet(goldenSet(5))
+	corr := quantizeCorr(goldenModel())
+	reqs := []Request{
+		{Set: s, Corr: corr, Kappa: 2, Mu: 3, Obj: ObjectiveRisk},
+		{Set: s, Corr: corr, Kappa: 2, Mu: 3, Obj: ObjectiveLoss},
+		{Set: s, Corr: corr, Kappa: 3, Mu: 3, Obj: ObjectiveLoss},
+	}
+	rng := rand.New(rand.NewSource(15))
+	grid := []float64{1, 1.5, 2, 2.5, 3, 3.5, 4, 5}
+	r := reqs[len(reqs)-1]
+	for len(reqs) < 400 {
+		if rng.Intn(6) == 0 {
+			r.Obj = goldenObjectives[rng.Intn(len(goldenObjectives))]
+		}
+		if rng.Intn(15) == 0 {
+			r.MaxRate = !r.MaxRate
+		}
+		if rng.Intn(15) == 0 {
+			r.GroupExposureCap = []float64{0, 0.05, 0.2}[rng.Intn(3)]
+		}
+		r.Kappa = grid[rng.Intn(5)]
+		r.Mu = math.Max(r.Kappa, grid[rng.Intn(len(grid))])
+		reqs = append(reqs, r)
+	}
+
+	value := func(p core.Schedule, obj Objective) float64 {
+		switch obj {
+		case ObjectiveRisk:
+			return p.Risk(s, corr)
+		case ObjectiveLoss:
+			return p.Loss(s, corr)
+		}
+		return p.Delay(s)
+	}
+	c := NewCache(CacheConfig{})
+	var resolves, afterSwitch int
+	var missObjs []Objective // the objective of every miss so far
+	for i, req := range reqs {
+		memo := c.miss != nil && c.miss.choices != nil && sameCoefficients(&c.miss.last, &req)
+		got, tier, gerr := c.Solve(req)
+		want, werr := Solve(req)
+		if (gerr == nil) != (werr == nil) {
+			t.Fatalf("request %d %+v: cached err %v, uncached err %v", i, req, gerr, werr)
+		}
+		if tier != TierCached {
+			if memo {
+				resolves++
+				// The memo's program was solved right after one with
+				// another objective: WarmSolve changed C on the tableau.
+				if k := len(missObjs); k >= 2 && missObjs[k-2] != req.Obj {
+					afterSwitch++
+				}
+			}
+			missObjs = append(missObjs, req.Obj)
+		}
+		if gerr != nil {
+			continue
+		}
+		if gv, wv := value(got.Schedule, req.Obj), value(want.Schedule, req.Obj); !almostEqual(gv, wv, 1e-9) {
+			t.Fatalf("request %d %+v (%v): cached objective %v, uncached %v", i, req, tier, gv, wv)
+		}
+		if k := got.Schedule.Kappa(); !almostEqual(k, req.Kappa, 1e-9) {
+			t.Fatalf("request %d %+v (%v): cached schedule has κ = %v", i, req, tier, k)
+		}
+	}
+	if resolves < 20 || afterSwitch == 0 {
+		t.Fatalf("%d misses re-entered by Resolve, %d of them after an objective switch; the sequence does not exercise the memo", resolves, afterSwitch)
+	}
+	t.Logf("%d misses re-entered by Resolve, %d right after an objective switch", resolves, afterSwitch)
+}
+
+// alternativeMass measures how far the optimum of req's program is from
+// unique: the most mass any optimal schedule (objective within 1e-10 of
+// the optimum) can put on choices outside the support of Solve's optimum.
+// Another optimal vertex exists exactly when it is positive.
+func alternativeMass(t *testing.T, req Request) float64 {
+	t.Helper()
+	prob, _, err := req.build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := lp.Solve(prob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Maximize the off-support mass over A x = B, C·x + slack = optimum.
+	n := len(prob.C)
+	face := lp.Problem{C: make([]float64, n+1), B: append(append([]float64(nil), prob.B...), sol.Objective+1e-10)}
+	for _, row := range prob.A {
+		face.A = append(face.A, append(append([]float64(nil), row...), 0))
+	}
+	face.A = append(face.A, append(append([]float64(nil), prob.C...), 1))
+	for j, x := range sol.X {
+		if x <= probabilityFloor {
+			face.C[j] = -1
+		}
+	}
+	alt, err := lp.Solve(face)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return -alt.Objective
 }

@@ -91,7 +91,10 @@ type Result struct {
 	// optimum: the marginal change of the optimal objective per unit
 	// increase of each. For ObjectiveRisk, DKappa is the (negative) price
 	// of privacy. DMu is zero for MaxRate requests, whose program has no μ
-	// row.
+	// row. At a degenerate optimum (often at integral κ) the shadow price
+	// is not unique: it is then one subgradient of the optimal value, and
+	// which one depends on the solve path, so a Cache miss re-entered
+	// from the last program's basis can report another than Solve.
 	DKappa, DMu float64
 }
 
@@ -155,24 +158,33 @@ func (r Request) build() (lp.Problem, []core.Choice, error) {
 	return prob, choices, err
 }
 
-// program lays the linear program out over a choice set. Columns are the
-// choices in order, then one slack per group-exposure row; rows are Σp = 1,
-// Σp·k = κ, then Σp·|M| = μ or (MaxRate) one utilization row per channel,
-// then the group-exposure rows.
+// program lays the linear program out over a choice set: coefficients
+// then right-hand side. Columns are the choices in order, then one slack
+// per group-exposure row; rows are Σp = 1, Σp·k = κ, then Σp·|M| = μ or
+// (MaxRate) one utilization row per channel, then the group-exposure rows.
 func (r Request) program(choices []core.Choice) (lp.Problem, error) {
-	s := r.Set
-	var targets []float64
-	if r.MaxRate {
-		var err error
-		if targets, err = s.UtilizationTargets(r.Mu); err != nil {
-			return lp.Problem{}, err
-		}
+	b, err := r.rhs()
+	if err != nil {
+		return lp.Problem{}, err
 	}
-	nv := len(choices)
-	var groups int
+	c, a := r.coefficients(choices)
+	return lp.Problem{C: c, A: a, B: b}, nil
+}
+
+// groupRows is the number of group-exposure rows the program carries.
+func (r Request) groupRows() int {
 	if r.GroupExposureCap > 0 {
-		groups = len(r.Corr.Groups)
+		return len(r.Corr.Groups)
 	}
+	return 0
+}
+
+// coefficients lays out the program's costs C and constraint matrix A over
+// a choice set, in program's row order. Given the choices, neither
+// depends on κ or μ.
+func (r Request) coefficients(choices []core.Choice) ([]float64, [][]float64) {
+	s := r.Set
+	nv, groups := len(choices), r.groupRows()
 	row := func(coef func(core.Choice) float64) []float64 {
 		a := make([]float64, nv+groups)
 		for j, ch := range choices {
@@ -180,10 +192,7 @@ func (r Request) program(choices []core.Choice) (lp.Problem, error) {
 		}
 		return a
 	}
-	var prob lp.Problem
-	add := func(a []float64, b float64) { prob.A, prob.B = append(prob.A, a), append(prob.B, b) }
-
-	prob.C = row(func(ch core.Choice) float64 {
+	c := row(func(ch core.Choice) float64 {
 		switch r.Obj {
 		case ObjectiveRisk:
 			return s.SubsetRisk(r.Corr, ch.K, ch.Members)
@@ -194,38 +203,85 @@ func (r Request) program(choices []core.Choice) (lp.Problem, error) {
 		}
 		panic(fmt.Sprintf("schedule: unknown objective %d", int(r.Obj)))
 	})
-	add(row(func(core.Choice) float64 { return 1 }), 1)
-	add(row(func(ch core.Choice) float64 { return float64(ch.K) }), r.Kappa)
+	a := [][]float64{
+		row(func(core.Choice) float64 { return 1 }),
+		row(func(ch core.Choice) float64 { return float64(ch.K) }),
+	}
 	if r.MaxRate {
 		for i := range s {
-			add(row(func(ch core.Choice) float64 {
+			a = append(a, row(func(ch core.Choice) float64 {
 				if slices.Contains(ch.Members, i) {
 					return 1
 				}
 				return 0
-			}), targets[i])
+			}))
 		}
 	} else {
-		add(row(func(ch core.Choice) float64 { return float64(ch.M()) }), r.Mu)
+		a = append(a, row(func(ch core.Choice) float64 { return float64(ch.M()) }))
 	}
 	for g := 0; g < groups; g++ {
-		a := row(func(ch core.Choice) float64 { return s.GroupExposure(r.Corr, g, ch.K, ch.Members) })
-		a[nv+g] = 1
-		add(a, r.GroupExposureCap)
+		ag := row(func(ch core.Choice) float64 { return s.GroupExposure(r.Corr, g, ch.K, ch.Members) })
+		ag[nv+g] = 1
+		a = append(a, ag)
 	}
-	return prob, nil
+	return c, a
+}
+
+// rhs lays out the program's right-hand side B, in program's row order:
+// 1, κ, then μ or the utilization targets, then the group cap per group.
+func (r Request) rhs() ([]float64, error) {
+	b := []float64{1, r.Kappa}
+	if r.MaxRate {
+		targets, err := r.Set.UtilizationTargets(r.Mu)
+		if err != nil {
+			return nil, err
+		}
+		b = append(b, targets...)
+	} else {
+		b = append(b, r.Mu)
+	}
+	for g := 0; g < r.groupRows(); g++ {
+		b = append(b, r.GroupExposureCap)
+	}
+	return b, nil
+}
+
+// choicesDependOnKappaMu reports whether κ and μ shape the choice set:
+// it is limited, or generated beyond exactEnumerationLimit channels.
+// Otherwise the choices, and with them the costs and the constraint
+// matrix, depend on neither.
+func (r Request) choicesDependOnKappaMu() bool {
+	return r.Limited || len(r.Set) > exactEnumerationLimit
+}
+
+// sameCoefficients reports whether two requests build the same choice set,
+// costs and constraint matrix, so that only their right-hand sides can
+// differ.
+func sameCoefficients(a, b *Request) bool {
+	if a.Obj != b.Obj || a.MaxRate != b.MaxRate || a.Limited != b.Limited ||
+		a.groupRows() != b.groupRows() ||
+		!slices.Equal(a.Set, b.Set) || !slices.Equal(a.Corr.Groups, b.Corr.Groups) {
+		return false
+	}
+	if a.choicesDependOnKappaMu() {
+		return a.Kappa == b.Kappa && a.Mu == b.Mu
+	}
+	return true
 }
 
 // choices produces the choice set: enumerated exhaustively (in
 // core.EnumerateAssignments order) up to exactEnumerationLimit channels,
-// generated beyond it.
+// generated beyond it. Only the cases past the choicesDependOnKappaMu test
+// may read κ or μ.
 func (r Request) choices() []core.Choice {
 	n := len(r.Set)
-	if n > exactEnumerationLimit {
+	var assignments []core.Assignment
+	switch {
+	case !r.choicesDependOnKappaMu():
+		assignments = core.EnumerateAssignments(n)
+	case n > exactEnumerationLimit:
 		return core.GenerateChoices(r.Set, r.Kappa, r.Mu, r.Limited)
-	}
-	assignments := core.EnumerateAssignments(n)
-	if r.Limited {
+	default:
 		assignments = core.EnumerateLimitedAssignments(n, r.Kappa, r.Mu)
 	}
 	out := make([]core.Choice, len(assignments))
